@@ -161,7 +161,11 @@ def cmd_bench(args):
         print("error: --reps must be >= 10", file=sys.stderr)
         return EXIT_USAGE
     n, c, h, w = args.shape
-    module = build_attention(args.module, c, seed=args.seed)
+    try:
+        module = build_attention(args.module, c, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     dtype = np.float32 if args.precision == "f32" else np.float64
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((n, c, h, w)).astype(dtype)

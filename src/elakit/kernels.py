@@ -60,16 +60,18 @@ def strip_pool_backward(dz, orig_shape, pooled_axis):
     """Adjoint of strip pooling: broadcast dz/L along the pooled axis.
 
     pooled_axis is 3 for strip_pool_h (W was pooled) and 2 for strip_pool_w.
+    Returns a read-only broadcast view of the small tensor dz/L; callers
+    accumulate it (`dx += ...`) or copy it.
     """
     n, c, h, w = orig_shape
     if pooled_axis == 3:
         if dz.shape != (n, c, h):
             raise ShapeError(f"dz shape {dz.shape} inconsistent with {orig_shape}")
-        return np.broadcast_to(dz[:, :, :, None], orig_shape) / w
+        return np.broadcast_to((dz / w)[:, :, :, None], orig_shape)
     if pooled_axis == 2:
         if dz.shape != (n, c, w):
             raise ShapeError(f"dz shape {dz.shape} inconsistent with {orig_shape}")
-        return np.broadcast_to(dz[:, :, None, :], orig_shape) / h
+        return np.broadcast_to((dz / h)[:, :, None, :], orig_shape)
     raise ShapeError(f"pooled_axis must be 2 or 3, got {pooled_axis}")
 
 
@@ -80,15 +82,28 @@ def global_avg_pool(x):
 
 
 def global_avg_pool_backward(dz, orig_shape):
+    """Adjoint of global_avg_pool: a read-only broadcast view of dz/(H*W)."""
     n, c, h, w = orig_shape
     if dz.shape != (n, c, 1):
         raise ShapeError(f"dz shape {dz.shape} inconsistent with {orig_shape}")
-    return np.broadcast_to(dz[:, :, :, None], orig_shape) / (h * w)
+    return np.broadcast_to((dz / (h * w))[:, :, :, None], orig_shape)
 
 
 # ---------------------------------------------------------------------------
 # grouped 1D convolution (same padding)
 # ---------------------------------------------------------------------------
+
+def _group_columns(a, groups, k):
+    """Same-padded length-k windows of (N,C,L), one row per position and
+    group: (N, G, L, C/G * k). A strided view when C/G == 1, else a copy."""
+    n, c, length = a.shape
+    pad = k // 2
+    # zero-fill and copy in: a third of np.pad's cost at these small sizes
+    ap = np.zeros((n, c, length + 2 * pad), dtype=a.dtype)
+    ap[:, :, pad:pad + length] = a
+    win = sliding_window_view(ap, k, axis=2).reshape(n, groups, c // groups, length, k)
+    return win.transpose(0, 1, 3, 2, 4).reshape(n, groups, length, (c // groups) * k)
+
 
 def conv1d_grouped(x, weight, bias=None, groups=1):
     """Grouped same-padded 1D cross-correlation on (N,C,L).
@@ -106,40 +121,29 @@ def conv1d_grouped(x, weight, bias=None, groups=1):
         raise ShapeError(
             f"weight expects {cpg} channels per group, input provides {c_in // groups}"
         )
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    win = sliding_window_view(xp, k, axis=2)  # (N, C_in, L, k)
-    opg = c_out // groups
-    out = np.empty((n, c_out, length), dtype=x.dtype)
-    for g in range(groups):
-        wg = weight[g * opg:(g + 1) * opg]          # (opg, cpg, k)
-        xg = win[:, g * cpg:(g + 1) * cpg]          # (N, cpg, L, k)
-        out[:, g * opg:(g + 1) * opg] = np.einsum("nclk,ock->nol", xg, wg)
+    wmat = weight.reshape(groups, c_out // groups, cpg * k).transpose(0, 2, 1)
+    out = _group_columns(x, groups, k) @ wmat  # (N, G, L, C_out/G)
+    out = out.transpose(0, 1, 3, 2).reshape(n, c_out, length).astype(x.dtype, copy=False)
     if bias is not None:
         out += bias[None, :, None]
     return out
 
 
 def conv1d_grouped_backward(dy, x, weight, groups=1, with_bias=False):
-    """Adjoint of conv1d_grouped: returns (dx, dweight, dbias-or-None)."""
+    """Adjoint of conv1d_grouped: returns (dx, dweight, dbias-or-None).
+
+    dx correlates the same-padded dy windows with the flipped kernel.
+    """
     n, c_in, length = x.shape
     c_out, cpg, k = weight.shape
     if dy.shape != (n, c_out, length):
         raise ShapeError(f"dy shape {dy.shape} inconsistent with forward output")
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    win = sliding_window_view(xp, k, axis=2)
     opg = c_out // groups
-    dweight = np.empty_like(weight)
-    dxp = np.zeros_like(xp)
-    for g in range(groups):
-        sl_o = slice(g * opg, (g + 1) * opg)
-        sl_i = slice(g * cpg, (g + 1) * cpg)
-        dweight[sl_o] = np.einsum("nol,nclk->ock", dy[:, sl_o], win[:, sl_i])
-        scatter = np.einsum("nol,ock->nclk", dy[:, sl_o], weight[sl_o])
-        for kk in range(k):
-            dxp[:, sl_i, kk:kk + length] += scatter[:, :, :, kk]
-    dx = dxp[:, :, pad:pad + length] if pad else dxp
+    dweight = (dy.reshape(n, groups, opg, length) @ _group_columns(x, groups, k)).sum(axis=0)
+    dweight = dweight.reshape(weight.shape).astype(weight.dtype, copy=False)
+    wflip = weight[..., ::-1].reshape(groups, opg, cpg, k).transpose(0, 1, 3, 2)
+    dx = _group_columns(dy, groups, k) @ wflip.reshape(groups, opg * k, cpg)  # (N, G, L, cpg)
+    dx = dx.transpose(0, 1, 3, 2).reshape(x.shape).astype(x.dtype, copy=False)
     dbias = dy.sum(axis=(0, 2)) if with_bias else None
     return dx, dweight, dbias
 
@@ -322,14 +326,18 @@ def broadcast_mul_hw(x, ah, aw):
         raise ShapeError(
             f"gate shapes {ah.shape}/{aw.shape} inconsistent with input {x.shape}"
         )
-    return x * ah[:, :, :, None] * aw[:, :, None, :]
+    y = x * ah[:, :, :, None]
+    y *= aw[:, :, None, :]
+    return y
 
 
 def broadcast_mul_hw_backward(dy, x, ah, aw):
     """Adjoint of broadcast_mul_hw: returns (dx, dah, daw)."""
-    dx = dy * ah[:, :, :, None] * aw[:, :, None, :]
-    dah = (dy * x * aw[:, :, None, :]).sum(axis=3)
-    daw = (dy * x * ah[:, :, :, None]).sum(axis=2)
+    dx = dy * ah[:, :, :, None]
+    dx *= aw[:, :, None, :]
+    dyx = dy * x
+    dah = np.einsum("nchw,ncw->nch", dyx, aw)
+    daw = np.einsum("nchw,nch->ncw", dyx, ah)
     return dx, dah, daw
 
 

@@ -190,7 +190,7 @@ class EfficientLocalAttention:
                 dc, z, p.value(f"conv_{d}.weight"), groups=self.groups
             )
             p.accumulate_grad(f"conv_{d}.weight", dw)
-            dx = dx + K.strip_pool_backward(dz, x.shape, pooled_axis=grp)
+            dx += K.strip_pool_backward(dz, x.shape, pooled_axis=grp)
         return dx
 
 
@@ -287,8 +287,8 @@ class CoordinateAttention:
         df_in, dw1, _ = K.conv2d_1x1_backward(du, f_in, p.value("f1.weight"))
         p.accumulate_grad("f1.weight", dw1)
         dzh, dzw = df_in[:, :, :h], df_in[:, :, h:]
-        dx = dx + K.strip_pool_backward(dzh, x.shape, pooled_axis=3)
-        dx = dx + K.strip_pool_backward(dzw, x.shape, pooled_axis=2)
+        dx += K.strip_pool_backward(dzh, x.shape, pooled_axis=3)
+        dx += K.strip_pool_backward(dzw, x.shape, pooled_axis=2)
         return dx
 
 
@@ -339,7 +339,8 @@ class SqueezeExcitation:
         dpooled, dw1, _ = K.conv2d_1x1_backward(du, pooled, p.value("fc1.weight"))
         p.accumulate_grad("fc1.weight", dw1)
         p.accumulate_grad("fc2.weight", dw2)
-        return dx + K.global_avg_pool_backward(dpooled, x.shape)
+        dx += K.global_avg_pool_backward(dpooled, x.shape)
+        return dx
 
 
 class EfficientChannelAttention:
@@ -380,7 +381,8 @@ class EfficientChannelAttention:
         dseq, dw, _ = K.conv1d_grouped_backward(dv, seq, p.value("conv.weight"), groups=1)
         p.accumulate_grad("conv.weight", dw)
         dpooled = dseq.transpose(0, 2, 1)
-        return dx + K.global_avg_pool_backward(dpooled, x.shape)
+        dx += K.global_avg_pool_backward(dpooled, x.shape)
+        return dx
 
 
 # ---------------------------------------------------------------------------

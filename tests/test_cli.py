@@ -105,6 +105,15 @@ class TestBench:
         assert main(["bench", "--module", "se", "--reps", "5",
                      "--out", str(tmp_path / "b.csv")]) == 2
 
+    def test_bad_config_exits_2_with_one_line(self, tmp_path):
+        # ela-s needs C divisible by 8
+        result = run_cli(["bench", "--module", "ela-s", "--shape", "1,12,5,5",
+                          "--out", str(tmp_path / "b.csv")])
+        assert result.returncode == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        assert not (tmp_path / "b.csv").exists()
+
     def test_two_modules_side_by_side(self, tmp_path):
         for module in ("ela-b", "se"):
             out = tmp_path / f"{module}.csv"

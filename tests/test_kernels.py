@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from elakit import kernels as K
 from elakit.gradcheck import fd_gradient, max_rel_error
@@ -55,11 +56,62 @@ class TestStripPool:
         numeric = fd_gradient(lambda v: float(np.sum(K.strip_pool_h(v) * dz)), x)
         assert max_rel_error(dx, numeric) < 1e-6
 
+    def test_backward_is_read_only_view(self):
+        dz = rand((1, 2, 3), 5)
+        for dx in (K.strip_pool_backward(dz, (1, 2, 3, 4), pooled_axis=3),
+                   K.strip_pool_backward(dz, (1, 2, 4, 3), pooled_axis=2)):
+            assert not dx.flags.writeable
+
     def test_shape_errors(self):
         with pytest.raises(K.ShapeError):
             K.strip_pool_h(rand((2, 3, 4)))
         with pytest.raises(K.ShapeError):
             K.strip_pool_backward(rand((1, 1, 5)), (1, 1, 3, 4), pooled_axis=3)
+
+
+def reference_conv1d_grouped(x, weight, groups):
+    """The per-group loop the vectorized kernel replaced, kept as an oracle."""
+    n, c_in, length = x.shape
+    c_out, cpg, k = weight.shape
+    pad = k // 2
+    win = sliding_window_view(np.pad(x, ((0, 0), (0, 0), (pad, pad))), k, axis=2)
+    opg = c_out // groups
+    out = np.empty((n, c_out, length))
+    for g in range(groups):
+        wg = weight[g * opg:(g + 1) * opg]
+        xg = win[:, g * cpg:(g + 1) * cpg]
+        out[:, g * opg:(g + 1) * opg] = np.einsum("nclk,ock->nol", xg, wg)
+    return out
+
+
+def reference_conv1d_grouped_backward(dy, x, weight, groups):
+    """Per-group loop adjoint: scatter each tap, then k shifted adds."""
+    n, c_in, length = x.shape
+    c_out, cpg, k = weight.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
+    win = sliding_window_view(xp, k, axis=2)
+    opg = c_out // groups
+    dweight = np.empty_like(weight)
+    dxp = np.zeros_like(xp)
+    for g in range(groups):
+        sl_o = slice(g * opg, (g + 1) * opg)
+        sl_i = slice(g * cpg, (g + 1) * cpg)
+        dweight[sl_o] = np.einsum("nol,nclk->ock", dy[:, sl_o], win[:, sl_i])
+        scatter = np.einsum("nol,ock->nclk", dy[:, sl_o], weight[sl_o])
+        for kk in range(k):
+            dxp[:, sl_i, kk:kk + length] += scatter[:, :, :, kk]
+    return dxp[:, :, pad:pad + length], dweight
+
+
+# (x shape, weight shape, groups)
+CONV1D_CASES = {
+    "depthwise": ((2, 8, 9), (8, 1, 5), 8),
+    "channels_over_8": ((2, 16, 11), (16, 8, 7), 2),
+    "groups1_cout_ne_cin": ((3, 1, 12), (2, 1, 3), 1),
+    "k1": ((2, 6, 5), (6, 3, 1), 2),
+    "length_below_k": ((2, 4, 1), (4, 1, 7), 4),
+}
 
 
 class TestConv1dGrouped:
@@ -124,6 +176,29 @@ class TestConv1dGrouped:
         dx, dw, _ = K.conv1d_grouped_backward(dy, x, w, groups=groups)
         assert max_rel_error(dx, fd_gradient(loss_x, x)) < 1e-6
         assert max_rel_error(dw, fd_gradient(loss_w, w)) < 1e-6
+
+    @pytest.mark.parametrize("case", CONV1D_CASES)
+    def test_matches_per_group_loop_reference(self, case):
+        x_shape, w_shape, groups = CONV1D_CASES[case]
+        x, w = rand(x_shape, 12), rand(w_shape, 13)
+        out = K.conv1d_grouped(x, w, groups=groups)
+        np.testing.assert_allclose(out, reference_conv1d_grouped(x, w, groups),
+                                   rtol=1e-12, atol=1e-12)
+        dy = rand(out.shape, 14)
+        dx, dw, _ = K.conv1d_grouped_backward(dy, x, w, groups=groups)
+        ref_dx, ref_dw = reference_conv1d_grouped_backward(dy, x, w, groups)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
+    def test_float32_input_keeps_float32(self, w_dtype):
+        x = rand((2, 8, 6), 15).astype(np.float32)
+        w = rand((8, 2, 3), 16).astype(w_dtype)
+        out = K.conv1d_grouped(x, w, groups=4)
+        assert out.dtype == np.float32
+        dx, dw, _ = K.conv1d_grouped_backward(out, x, w, groups=4)
+        assert dx.dtype == np.float32
+        assert dw.dtype == w_dtype
 
     def test_preconditions(self):
         with pytest.raises(K.ShapeError):
@@ -394,6 +469,9 @@ class TestGlobalAvgPool:
         dx = K.global_avg_pool_backward(dz, x.shape)
         numeric = fd_gradient(lambda v: float(np.sum(K.global_avg_pool(v) * dz)), x)
         assert max_rel_error(dx, numeric) < 1e-6
+
+    def test_backward_is_read_only_view(self):
+        assert not K.global_avg_pool_backward(rand((1, 2, 1)), (1, 2, 3, 4)).flags.writeable
 
 
 class Test2dToyKernels:

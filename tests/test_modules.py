@@ -7,6 +7,7 @@ from elakit import kernels as K
 from elakit.gradcheck import check_module_gradients, fd_gradient, max_rel_error
 from elakit.modules import (
     ELA_PRESETS,
+    MODULE_CHOICES,
     CaConfig,
     CoordinateAttention,
     EcaConfig,
@@ -274,6 +275,17 @@ class TestGradients:
         assert not dx.any()
         for name in m.params.names():
             assert not m.params.grad(name).any()
+
+    @pytest.mark.parametrize("kind", MODULE_CHOICES)
+    def test_backward_does_not_alias_inputs(self, kind):
+        x = rand((2, 16, 5, 7), 24)
+        dy = rand(x.shape, 25)
+        x0, dy0 = x.copy(), dy.copy()
+        m = build_attention(kind, 16, seed=0)
+        m.forward(x, keep_intermediates=True)
+        dx = m.backward(dy)
+        assert np.array_equal(x, x0) and np.array_equal(dy, dy0)
+        assert dx.flags.writeable and dx.flags.owndata
 
     def test_backward_requires_cache(self):
         m = build_attention("se", 16, seed=0)
