@@ -200,6 +200,9 @@ def cmd_train_toy(args):
     from elakit.params import atomic_write_text
     from elakit.toy import DivergenceError, evaluate, history_csv, train_toy
 
+    if args.steps < 0:
+        print("error: --steps must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     os.makedirs(args.out, exist_ok=True)
     try:
         model, state, data = train_toy(
@@ -231,6 +234,9 @@ def cmd_gradcam(args):
 
     from elakit.toy import MiniCnn, gradcam, make_toy_batch, write_pgm
 
+    if args.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         model = MiniCnn.load(args.model)
     except (FileNotFoundError, ValueError, KeyError) as exc:

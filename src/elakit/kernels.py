@@ -47,13 +47,13 @@ def check_ncl(x):
 def strip_pool_h(x):
     """Directional average over W: (N,C,H,W) -> (N,C,H)."""
     check_nchw(x)
-    return x.mean(axis=3)
+    return (x @ np.ones(x.shape[3], dtype=x.dtype)) / x.shape[3]
 
 
 def strip_pool_w(x):
     """Directional average over H: (N,C,H,W) -> (N,C,W)."""
     check_nchw(x)
-    return x.mean(axis=2)
+    return (np.ones(x.shape[2], dtype=x.dtype) @ x) / x.shape[2]
 
 
 def strip_pool_backward(dz, orig_shape, pooled_axis):
@@ -78,7 +78,8 @@ def strip_pool_backward(dz, orig_shape, pooled_axis):
 def global_avg_pool(x):
     """Mean over H*W per channel: (N,C,H,W) -> (N,C,1)."""
     check_nchw(x)
-    return x.mean(axis=(2, 3))[:, :, None]
+    n, c, h, w = x.shape
+    return ((x.reshape(n, c, h * w) @ np.ones(h * w, dtype=x.dtype)) / (h * w))[:, :, None]
 
 
 def global_avg_pool_backward(dz, orig_shape):
@@ -160,7 +161,8 @@ def conv2d_1x1(x, weight, bias=None):
         raise ShapeError(
             f"weight expects {weight.shape[1]} input channels, got {x.shape[1]}"
         )
-    out = np.einsum("oc,nc...->no...", weight, x)
+    xf = x.reshape(x.shape[0], x.shape[1], -1)
+    out = (weight @ xf).reshape((x.shape[0], weight.shape[0]) + x.shape[2:])
     if bias is not None:
         out += bias.reshape((1, -1) + (1,) * (x.ndim - 2))
     return out
@@ -169,8 +171,8 @@ def conv2d_1x1(x, weight, bias=None):
 def conv2d_1x1_backward(dy, x, weight, with_bias=False):
     dyf = dy.reshape(dy.shape[0], dy.shape[1], -1)
     xf = x.reshape(x.shape[0], x.shape[1], -1)
-    dx = np.einsum("oc,nop->ncp", weight, dyf).reshape(x.shape)
-    dweight = np.einsum("nop,ncp->oc", dyf, xf)
+    dx = (weight.T @ dyf).reshape(x.shape)
+    dweight = np.tensordot(dyf, xf, axes=([0, 2], [0, 2]))
     dbias = dyf.sum(axis=(0, 2)) if with_bias else None
     return dx, dweight, dbias
 
@@ -332,12 +334,16 @@ def broadcast_mul_hw(x, ah, aw):
 
 
 def broadcast_mul_hw_backward(dy, x, ah, aw):
-    """Adjoint of broadcast_mul_hw: returns (dx, dah, daw)."""
-    dx = dy * ah[:, :, :, None]
-    dx *= aw[:, :, None, :]
+    """Adjoint of broadcast_mul_hw: returns (dx, dah, daw).
+
+    dx is written into the buffer of dy*x once the gate gradients are read
+    from it, which saves one full-size allocation per call.
+    """
     dyx = dy * x
-    dah = np.einsum("nchw,ncw->nch", dyx, aw)
-    daw = np.einsum("nchw,nch->ncw", dyx, ah)
+    dah = (dyx @ aw[..., None])[..., 0]
+    daw = (ah[..., None, :] @ dyx)[..., 0, :]
+    dx = np.multiply(dy, ah[..., None], out=dyx)
+    dx *= aw[..., None, :]
     return dx, dah, daw
 
 
@@ -399,10 +405,14 @@ def conv2d_same_backward(dy, x, weight, with_bias=False):
 def avg_pool_2x2(x):
     """Non-overlapping 2x2 average pooling; H and W must be even."""
     check_nchw(x)
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"H and W must be even for 2x2 pooling, got {h}x{w}")
-    return x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    out = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+    out += x[:, :, 1::2, 0::2]
+    out += x[:, :, 1::2, 1::2]
+    out *= 0.25
+    return out
 
 
 def avg_pool_2x2_backward(dy, orig_shape):

@@ -147,6 +147,28 @@ class TestTrainAndCam:
             assert blob.startswith(b"P5\n32 32\n255\n")
             assert len(blob.split(b"255\n", 1)[1]) == 32 * 32
 
+    def test_negative_steps_exit_2_with_one_line(self, tmp_path):
+        out = tmp_path / "run"
+        result = run_cli(["train-toy", "--attention", "none", "--steps", "-1",
+                          "--out", str(out)])
+        assert result.returncode == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_gradcam_samples_below_one_exit_2_with_one_line(self, tmp_path, samples):
+        run = tmp_path / "run"
+        assert main(["train-toy", "--attention", "none", "--steps", "0",
+                     "--seed", "1", "--out", str(run)]) == 0
+        cam = tmp_path / "cam"
+        result = run_cli(["gradcam", "--model", str(run / "model.elak"),
+                          "--samples", samples, "--out", str(cam)])
+        assert result.returncode == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+        assert not cam.exists()
+
     def test_gradcam_missing_model_exits_2(self, tmp_path):
         assert main(["gradcam", "--model", str(tmp_path / "nope.elak"),
                      "--out", str(tmp_path / "cam")]) == 2

@@ -517,3 +517,91 @@ def test_backward_fidelity_random_shapes(n, c, hw):
     dx = K.strip_pool_backward(dz, x.shape, pooled_axis=3)
     numeric = fd_gradient(lambda v: float(np.sum(K.strip_pool_h(v) * dz)), x)
     assert max_rel_error(dx, numeric) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the BLAS forms of the channel contractions and reductions against the
+# direct einsum / mean forms they replace
+# ---------------------------------------------------------------------------
+
+def reference_conv2d_1x1(x, weight):
+    return np.einsum("oc,nc...->no...", weight, x)
+
+
+def reference_conv2d_1x1_backward(dy, x, weight):
+    dyf = dy.reshape(dy.shape[0], dy.shape[1], -1)
+    xf = x.reshape(x.shape[0], x.shape[1], -1)
+    dx = np.einsum("oc,nop->ncp", weight, dyf).reshape(x.shape)
+    dweight = np.einsum("nop,ncp->oc", dyf, xf)
+    return dx, dweight
+
+
+CONV1X1_SHAPES = [
+    pytest.param((2, 6, 9), 4, id="ncl"),
+    pytest.param((2, 6, 3, 5), 4, id="nchw"),
+    pytest.param((3, 16, 1), 2, id="se-ncl1"),
+]
+
+
+class TestBlasFormsAgainstReferences:
+    @pytest.mark.parametrize("shape,c_out", CONV1X1_SHAPES)
+    def test_conv2d_1x1_matches_einsum(self, shape, c_out):
+        x = rand(shape, 60)
+        w = rand((c_out, shape[1]), 61)
+        b = rand((c_out,), 62)
+        out = K.conv2d_1x1(x, w, b)
+        expected = reference_conv2d_1x1(x, w) + b.reshape((1, -1) + (1,) * (x.ndim - 2))
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) < 1e-12
+
+    @pytest.mark.parametrize("shape,c_out", CONV1X1_SHAPES)
+    def test_conv2d_1x1_backward_matches_einsum(self, shape, c_out):
+        x = rand(shape, 63)
+        w = rand((c_out, shape[1]), 64)
+        dy = rand((shape[0], c_out) + shape[2:], 65)
+        dx, dw, db = K.conv2d_1x1_backward(dy, x, w, with_bias=True)
+        ref_dx, ref_dw = reference_conv2d_1x1_backward(dy, x, w)
+        assert dx.shape == x.shape and dw.shape == w.shape
+        assert np.max(np.abs(dx - ref_dx)) < 1e-12
+        assert np.max(np.abs(dw - ref_dw)) < 1e-12
+        assert np.max(np.abs(db - dy.reshape(shape[0], c_out, -1).sum(axis=(0, 2)))) < 1e-12
+
+    def test_conv2d_1x1_keeps_mixed_dtype_promotion(self):
+        x = rand((2, 6, 5)).astype(np.float32)
+        w = rand((4, 6), 66)
+        out = K.conv2d_1x1(x, w)
+        dx, dw, _ = K.conv2d_1x1_backward(out, x, w)
+        assert out.dtype == dx.dtype == dw.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 5), (1, 8, 7, 7), (3, 2, 11, 2)])
+    def test_pools_match_mean(self, shape):
+        x = rand(shape, 67) + 3.0  # keep the means away from 0 for a relative bound
+        for got, expected in (
+            (K.strip_pool_h(x), x.mean(axis=3)),
+            (K.strip_pool_w(x), x.mean(axis=2)),
+            (K.global_avg_pool(x), x.mean(axis=(2, 3))[:, :, None]),
+        ):
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected) / np.abs(expected)) < 1e-14
+
+    def test_avg_pool_2x2_matches_reshape_mean(self):
+        x = rand((2, 3, 6, 4), 68)
+        n, c, h, w = x.shape
+        expected = x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        assert np.max(np.abs(K.avg_pool_2x2(x) - expected)) < 1e-15
+
+    def test_gate_gradients_match_einsum(self):
+        rng = np.random.default_rng(69)
+        x, dy = rng.standard_normal((2, 2, 3, 5, 6))
+        ah = rng.standard_normal((2, 3, 5))
+        aw = rng.standard_normal((2, 3, 6))
+        dx, dah, daw = K.broadcast_mul_hw_backward(dy, x, ah, aw)
+        assert np.max(np.abs(dah - np.einsum("nchw,ncw->nch", dy * x, aw))) < 1e-12
+        assert np.max(np.abs(daw - np.einsum("nchw,nch->ncw", dy * x, ah))) < 1e-12
+        assert np.array_equal(dx, dy * ah[:, :, :, None] * aw[:, :, None, :])
+
+    def test_pools_keep_float32(self):
+        x = rand((2, 3, 4, 6), 70).astype(np.float32)
+        for out in (K.strip_pool_h(x), K.strip_pool_w(x), K.global_avg_pool(x),
+                    K.avg_pool_2x2(x)):
+            assert out.dtype == np.float32
