@@ -1,5 +1,5 @@
-"""Parameter and FLOP accounting with closed forms, an enumeration oracle,
-and network-level placement audits.
+"""Parameter and FLOP accounting: the formula sheet that the configs' closed
+forms in elakit.modules follow, an enumeration oracle, and placement audits.
 
 FLOP convention (normative for this artifact): one multiply-accumulate = 1,
 divisions and exponentials = 1 each. Per-op formula sheet, per sample:
@@ -25,19 +25,9 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from elakit.modules import (
-    ELA_PRESETS,
-    MODULE_CHOICES,
-    CaConfig,
-    EcaConfig,
-    ElaConfig,
-    SeConfig,
-    build_attention,
-)
-
-SIGMOID_COST = 3
-HARD_SWISH_COST = 2
-RELU_COST = 1
+# the activation costs are re-exported beside the formula sheet they follow
+from elakit.modules import HARD_SWISH_COST, RELU_COST, SIGMOID_COST  # noqa: F401
+from elakit.modules import build_attention, lookup
 
 ASSUMPTIONS = [
     "one attention module inserted per listed site; no other changes",
@@ -49,39 +39,9 @@ ASSUMPTIONS = [
 ]
 
 
-def _resolve_cfg(kind):
-    kind = kind.lower()
-    if kind in ELA_PRESETS:
-        return ELA_PRESETS[kind]
-    if kind == "se":
-        return SeConfig()
-    if kind == "eca":
-        return EcaConfig()
-    if kind == "ca":
-        return CaConfig(norm_flavor="bn")
-    if kind == "ca-gn":
-        return CaConfig(norm_flavor="gn")
-    raise ValueError(f"unknown module kind {kind!r}; choose from {MODULE_CHOICES}")
-
-
 def param_count(kind, channels):
     """Closed-form learnable parameter count for one module at C channels."""
-    cfg = _resolve_cfg(kind)
-    c = channels
-    if isinstance(cfg, ElaConfig):
-        groups = cfg.resolve_conv_groups(c)
-        cfg.resolve_gn_groups(c)  # validates divisibility
-        return 2 * c * (c // groups) * cfg.kernel_size + 4 * c
-    if isinstance(cfg, SeConfig):
-        mip = cfg.intermediate_channels(c)
-        return 2 * c * mip
-    if isinstance(cfg, EcaConfig):
-        return cfg.kernel_size
-    if isinstance(cfg, CaConfig):
-        mip = cfg.intermediate_channels(c)
-        # F1 (mip x C) + norm affine (2 mip) + F_h/F_w (C x mip + C bias each)
-        return mip * c + 2 * mip + 2 * (c * mip + c)
-    raise TypeError(f"unhandled config type {type(cfg)!r}")
+    return lookup(kind)[1].param_count(channels)
 
 
 def param_count_enumerated(kind, channels, seed=0):
@@ -91,36 +51,7 @@ def param_count_enumerated(kind, channels, seed=0):
 
 def flop_count(kind, channels, height, width):
     """Per-sample multiply-accumulate count for one module at one site."""
-    cfg = _resolve_cfg(kind)
-    c, h, w = channels, height, width
-    hw = h * w
-    if isinstance(cfg, ElaConfig):
-        groups = cfg.resolve_conv_groups(c)
-        k = cfg.kernel_size
-        pools = 2 * c * hw + c * (h + w)
-        convs = c * (c // groups) * k * (h + w)
-        norms = 4 * c * (h + w)
-        gates = SIGMOID_COST * c * (h + w)
-        product = 2 * c * hw
-        return pools + convs + norms + gates + product
-    if isinstance(cfg, SeConfig):
-        mip = cfg.intermediate_channels(c)
-        return (c * hw + c) + mip * c + RELU_COST * mip + c * mip + SIGMOID_COST * c + c * hw
-    if isinstance(cfg, EcaConfig):
-        return (c * hw + c) + cfg.kernel_size * c + SIGMOID_COST * c + c * hw
-    if isinstance(cfg, CaConfig):
-        mip = cfg.intermediate_channels(c)
-        span = h + w
-        delta_cost = HARD_SWISH_COST if cfg.delta_activation == "hard_swish" else RELU_COST
-        pools = 2 * c * hw + c * span
-        reduce = mip * c * span
-        norm = 4 * mip * span
-        delta = delta_cost * mip * span
-        expand = (c * mip + c) * h + (c * mip + c) * w  # F_h then F_w, with bias
-        gates = SIGMOID_COST * c * span
-        product = 2 * c * hw
-        return pools + reduce + norm + delta + expand + gates + product
-    raise TypeError(f"unhandled config type {type(cfg)!r}")
+    return lookup(kind)[1].flop_count(channels, height, width)
 
 
 # ---------------------------------------------------------------------------

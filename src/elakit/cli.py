@@ -203,7 +203,6 @@ def cmd_train_toy(args):
     if args.steps < 0:
         print("error: --steps must be >= 0", file=sys.stderr)
         return EXIT_USAGE
-    os.makedirs(args.out, exist_ok=True)
     try:
         model, state, data = train_toy(
             args.attention, args.steps, args.seed,
@@ -215,6 +214,7 @@ def cmd_train_toy(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "loss.csv"), history_csv(state.history))
     model.save(os.path.join(args.out, "model.elak"))
     if args.steps == 0:

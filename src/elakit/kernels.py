@@ -261,10 +261,13 @@ def group_norm(x, num_groups, gamma, beta, eps=1e-5):
     if c % num_groups != 0:
         raise ShapeError(f"num_groups={num_groups} does not divide C={c}")
     xg = x.reshape(n, num_groups, -1)
-    mean = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
+    # np.var's own steps with the centered copy formed once and normalized
+    # in place: bitwise the same var and xhat, two full passes fewer
+    xc = xg - xg.mean(axis=2, keepdims=True)
+    var = (xc * xc).mean(axis=2, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = ((xg - mean) * inv_std).reshape(n, c, length)
+    xc *= inv_std
+    xhat = xc.reshape(n, c, length)
     out = gamma[None, :, None] * xhat + beta[None, :, None]
     return out, (xhat, inv_std, gamma, num_groups)
 

@@ -4,6 +4,10 @@ Every block maps (N,C,H,W) -> (N,C,H,W) with explicit forward and backward
 passes composed from elakit.kernels. Parameters live in a ParamStore;
 backward accumulates parameter gradients into the store and returns dx.
 
+REGISTRY names every block kind once. Each config carries its block's
+closed-form parameter and MAC counts; they follow the formula sheet in
+elakit.accounting, whose enumeration oracle checks them.
+
 Bias policy: ELA 1D convs carry no bias (the following GN beta absorbs it);
 CA's channel-reduction conv F1 carries no bias (a norm follows), while the
 expansion convs F_h/F_w carry biases because they feed sigmoid directly.
@@ -16,6 +20,11 @@ import numpy as np
 
 from elakit import kernels as K
 from elakit.params import ParamStore
+
+# per-element costs of the activations on the accounting formula sheet
+SIGMOID_COST = 3
+HARD_SWISH_COST = 2
+RELU_COST = 1
 
 
 @dataclass
@@ -34,8 +43,18 @@ class ChannelGate:
 
 
 # ---------------------------------------------------------------------------
-# configs
+# configs and their closed-form counts
 # ---------------------------------------------------------------------------
+
+def _directional_macs(c, h, w):
+    """Strip pools, two sigmoid gates and the gating product of ELA and CA."""
+    return 2 * c * h * w + c * (h + w) + SIGMOID_COST * c * (h + w) + 2 * c * h * w
+
+
+def _channel_macs(c, h, w):
+    """Global pool, one sigmoid gate and the channel product of SE and ECA."""
+    return (c * h * w + c) + SIGMOID_COST * c + c * h * w
+
 
 @dataclass(frozen=True)
 class ElaConfig:
@@ -69,6 +88,14 @@ class ElaConfig:
             raise ValueError(f"GN groups={groups} does not divide C={channels}")
         return groups
 
+    def param_count(self, c):
+        self.resolve_gn_groups(c)  # validates divisibility
+        return 2 * c * (c // self.resolve_conv_groups(c)) * self.kernel_size + 4 * c
+
+    def flop_count(self, c, h, w):
+        convs = c * (c // self.resolve_conv_groups(c)) * self.kernel_size * (h + w)
+        return _directional_macs(c, h, w) + convs + 4 * c * (h + w)
+
 
 ELA_PRESETS = {
     "ela-t": ElaConfig(5, "depthwise", 32, "T"),
@@ -100,6 +127,18 @@ class CaConfig:
         # 16 keeps the count close to common GN settings while dividing mip
         return math.gcd(self.intermediate_channels(channels), 16)
 
+    def param_count(self, c):
+        mip = self.intermediate_channels(c)
+        # F1 (mip x C) + norm affine (2 mip) + F_h/F_w (C x mip + C bias each)
+        return mip * c + 2 * mip + 2 * (c * mip + c)
+
+    def flop_count(self, c, h, w):
+        mip = self.intermediate_channels(c)
+        delta_cost = HARD_SWISH_COST if self.delta_activation == "hard_swish" else RELU_COST
+        # per strip position: F1, norm, delta, then F_h or F_w with bias
+        per_position = mip * c + 4 * mip + delta_cost * mip + (c * mip + c)
+        return _directional_macs(c, h, w) + per_position * (h + w)
+
 
 @dataclass(frozen=True)
 class SeConfig:
@@ -107,6 +146,13 @@ class SeConfig:
 
     def intermediate_channels(self, channels):
         return max(8, int(round(channels / self.reduction_r)))
+
+    def param_count(self, c):
+        return 2 * c * self.intermediate_channels(c)
+
+    def flop_count(self, c, h, w):
+        mip = self.intermediate_channels(c)
+        return _channel_macs(c, h, w) + mip * c + RELU_COST * mip + c * mip
 
 
 @dataclass(frozen=True)
@@ -117,6 +163,12 @@ class EcaConfig:
         if self.kernel_size % 2 == 0:
             raise ValueError("ECA kernel size must be odd")
 
+    def param_count(self, c):
+        return self.kernel_size
+
+    def flop_count(self, c, h, w):
+        return _channel_macs(c, h, w) + self.kernel_size * c
+
 
 GN_EPS = 1e-5
 
@@ -126,20 +178,93 @@ def _he_normal(rng, shape, fan_in):
 
 
 # ---------------------------------------------------------------------------
+# shared construction, heads and tails
+# ---------------------------------------------------------------------------
+
+class _Block:
+    """Construction and the backward guard of every block. A block sets
+    `default_cfg`, resolves derived sizes in `_resolve` (before
+    `init_params`), and implements `_backward(dy, *self._cache)`."""
+
+    def __init__(self, channels, cfg=None, seed=0, params=None):
+        self.cfg = cfg or self.default_cfg
+        self.channels = channels
+        self._resolve()
+        self.params = params if params is not None else self.init_params(seed)
+        self._cache = None
+
+    def _resolve(self):
+        pass
+
+    def backward(self, dy):
+        if self._cache is None:
+            raise RuntimeError("backward requires forward(keep_intermediates=True)")
+        return self._backward(dy, *self._cache)
+
+
+class _DirectionalBlock(_Block):
+    """Strip-pool head and two-way sigmoid gate tail of ELA and CA.
+    `_logits(zh, zw)` returns (lh, lw, intermediates) from the pooled strips;
+    `_logits_backward(dlh, dlw, *intermediates)` returns (dzh, dzw)."""
+
+    def forward(self, x, keep_intermediates=False):
+        zh = K.strip_pool_h(x)
+        zw = K.strip_pool_w(x)
+        lh, lw, inner = self._logits(zh, zw)
+        ah = K.sigmoid(lh)
+        aw = K.sigmoid(lw)
+        y = K.broadcast_mul_hw(x, ah, aw)
+        if keep_intermediates:
+            self._cache = (x, *inner, ah, aw)
+        return y, AttentionMaps(ah, aw)
+
+    def _backward(self, dy, x, *rest):
+        *inner, ah, aw = rest
+        dx, dah, daw = K.broadcast_mul_hw_backward(dy, x, ah, aw)
+        dzh, dzw = self._logits_backward(
+            K.sigmoid_backward(dah, ah), K.sigmoid_backward(daw, aw), *inner
+        )
+        dx += K.strip_pool_backward(dzh, x.shape, pooled_axis=3)
+        dx += K.strip_pool_backward(dzw, x.shape, pooled_axis=2)
+        return dx
+
+
+class _ChannelBlock(_Block):
+    """Global-pool head and per-channel sigmoid gate tail of SE and ECA.
+    `_logits(pooled)` returns (logits, intermediates) from the (N,C,1) pool;
+    `_logits_backward(dlogits, *intermediates)` returns dpooled."""
+
+    def forward(self, x, keep_intermediates=False):
+        pooled = K.global_avg_pool(x)  # (N,C,1)
+        logits, inner = self._logits(pooled)
+        gate = K.sigmoid(logits)  # (N,C,1)
+        y = x * gate[:, :, :, None]
+        if keep_intermediates:
+            self._cache = (x, *inner, gate)
+        return y, ChannelGate(gate[:, :, 0])
+
+    def _backward(self, dy, x, *rest):
+        *inner, gate = rest
+        dx = dy * gate[:, :, :, None]
+        dgate = (dy * x).sum(axis=(2, 3))[:, :, None]
+        dpooled = self._logits_backward(K.sigmoid_backward(dgate, gate), *inner)
+        dx += K.global_avg_pool_backward(dpooled, x.shape)
+        return dx
+
+
+# ---------------------------------------------------------------------------
 # ELA
 # ---------------------------------------------------------------------------
 
-class EfficientLocalAttention:
+class EfficientLocalAttention(_DirectionalBlock):
     """Strip pool -> grouped 1D conv -> GN -> sigmoid per direction, then
     gate the input with the outer product of both directional maps."""
 
-    def __init__(self, channels, cfg=None, seed=0, params=None):
-        self.cfg = cfg or ELA_PRESETS["ela-b"]
-        self.channels = channels
-        self.groups = self.cfg.resolve_conv_groups(channels)
-        self.gn_groups = self.cfg.resolve_gn_groups(channels)
-        self.params = params if params is not None else self.init_params(seed)
-        self._cache = None
+    default_cfg = ELA_PRESETS["ela-b"]
+
+    def _resolve(self):
+        self.groups = self.cfg.resolve_conv_groups(self.channels)
+        self.gn_groups = self.cfg.resolve_gn_groups(self.channels)
 
     def init_params(self, seed):
         rng = np.random.default_rng(seed)
@@ -153,10 +278,8 @@ class EfficientLocalAttention:
             store.add(f"gn_{d}.beta", np.zeros(c), role="norm")
         return store
 
-    def forward(self, x, keep_intermediates=False):
+    def _logits(self, zh, zw):
         p = self.params
-        zh = K.strip_pool_h(x)
-        zw = K.strip_pool_w(x)
         ch = K.conv1d_grouped(zh, p.value("conv_h.weight"), groups=self.groups)
         cw = K.conv1d_grouped(zw, p.value("conv_w.weight"), groups=self.groups)
         nh, cache_h = K.group_norm(
@@ -165,55 +288,40 @@ class EfficientLocalAttention:
         nw, cache_w = K.group_norm(
             cw, self.gn_groups, p.value("gn_w.gamma"), p.value("gn_w.beta"), GN_EPS
         )
-        ah = K.sigmoid(nh)
-        aw = K.sigmoid(nw)
-        y = K.broadcast_mul_hw(x, ah, aw)
-        if keep_intermediates:
-            self._cache = (x, zh, zw, ch, cw, cache_h, cache_w, ah, aw)
-        return y, AttentionMaps(ah, aw)
+        return nh, nw, (zh, zw, ch, cw, cache_h, cache_w)
 
-    def backward(self, dy):
-        if self._cache is None:
-            raise RuntimeError("backward requires forward(keep_intermediates=True)")
-        x, zh, zw, ch, cw, cache_h, cache_w, ah, aw = self._cache
-        p = self.params
-        dx, dah, daw = K.broadcast_mul_hw_backward(dy, x, ah, aw)
-        for d, a, da, z, cache, grp in (
-            ("h", ah, dah, zh, cache_h, 3),
-            ("w", aw, daw, zw, cache_w, 2),
-        ):
-            dn = K.sigmoid_backward(da, a)
+    def _logits_backward(self, dnh, dnw, zh, zw, ch, cw, cache_h, cache_w):
+        p, dz = self.params, []
+        for d, dn, z, cache in (("h", dnh, zh, cache_h), ("w", dnw, zw, cache_w)):
             dc, dgamma, dbeta = K.group_norm_backward(dn, cache)
             p.accumulate_grad(f"gn_{d}.gamma", dgamma)
             p.accumulate_grad(f"gn_{d}.beta", dbeta)
-            dz, dw, _ = K.conv1d_grouped_backward(
+            dzd, dw, _ = K.conv1d_grouped_backward(
                 dc, z, p.value(f"conv_{d}.weight"), groups=self.groups
             )
             p.accumulate_grad(f"conv_{d}.weight", dw)
-            dx += K.strip_pool_backward(dz, x.shape, pooled_axis=grp)
-        return dx
+            dz.append(dzd)
+        return dz
 
 
 # ---------------------------------------------------------------------------
 # Coordinate Attention
 # ---------------------------------------------------------------------------
 
-class CoordinateAttention:
+class CoordinateAttention(_DirectionalBlock):
     """Concat both strip-pooled maps, bottleneck channels by r, normalize
     (BN or GN), apply the delta activation, split, re-expand to C channels,
     and gate with both directional sigmoid maps."""
 
-    def __init__(self, channels, cfg=None, seed=0, params=None):
-        self.cfg = cfg or CaConfig()
-        self.channels = channels
-        self.mip = self.cfg.intermediate_channels(channels)
-        self.params = params if params is not None else self.init_params(seed)
+    default_cfg = CaConfig()
+
+    def _resolve(self):
+        self.mip = self.cfg.intermediate_channels(self.channels)
         if self.cfg.norm_flavor == "bn":
             self.norm_state = K.NormState(self.mip)
         else:
             self.norm_state = None
-            self.gn_groups = self.cfg.resolve_gn_groups(channels)
-        self._cache = None
+            self.gn_groups = self.cfg.resolve_gn_groups(self.channels)
 
     def init_params(self, seed):
         rng = np.random.default_rng(seed)
@@ -236,11 +344,8 @@ class CoordinateAttention:
             u, self.gn_groups, p.value("norm.gamma"), p.value("norm.beta"), GN_EPS
         )
 
-    def forward(self, x, keep_intermediates=False):
+    def _logits(self, zh, zw):
         p = self.params
-        h = x.shape[2]
-        zh = K.strip_pool_h(x)
-        zw = K.strip_pool_w(x)
         f_in = K.concat_spatial(zh, zw)
         u = K.conv2d_1x1(f_in, p.value("f1.weight"))
         nu, norm_cache = self._norm(u)
@@ -248,32 +353,20 @@ class CoordinateAttention:
             v = K.hard_swish(nu)
         else:
             v = K.relu(nu)
-        fh, fw = K.split_spatial(v, h)
-        gh = K.sigmoid(K.conv2d_1x1(fh, p.value("fh.weight"), p.value("fh.bias")))
-        gw = K.sigmoid(K.conv2d_1x1(fw, p.value("fw.weight"), p.value("fw.bias")))
-        y = K.broadcast_mul_hw(x, gh, gw)
-        if keep_intermediates:
-            self._cache = (x, f_in, u, nu, norm_cache, fh, fw, gh, gw)
-        return y, AttentionMaps(gh, gw)
+        fh, fw = K.split_spatial(v, zh.shape[2])
+        lh = K.conv2d_1x1(fh, p.value("fh.weight"), p.value("fh.bias"))
+        lw = K.conv2d_1x1(fw, p.value("fw.weight"), p.value("fw.bias"))
+        return lh, lw, (f_in, u, nu, norm_cache, fh, fw)
 
-    def backward(self, dy):
-        if self._cache is None:
-            raise RuntimeError("backward requires forward(keep_intermediates=True)")
-        x, f_in, u, nu, norm_cache, fh, fw, gh, gw = self._cache
+    def _logits_backward(self, dlh, dlw, f_in, u, nu, norm_cache, fh, fw):
         p = self.params
-        h = x.shape[2]
-        dx, dgh, dgw = K.broadcast_mul_hw_backward(dy, x, gh, gw)
-        dfh, dwh, dbh = K.conv2d_1x1_backward(
-            K.sigmoid_backward(dgh, gh), fh, p.value("fh.weight"), with_bias=True
-        )
-        dfw, dww, dbw = K.conv2d_1x1_backward(
-            K.sigmoid_backward(dgw, gw), fw, p.value("fw.weight"), with_bias=True
-        )
-        p.accumulate_grad("fh.weight", dwh)
-        p.accumulate_grad("fh.bias", dbh)
-        p.accumulate_grad("fw.weight", dww)
-        p.accumulate_grad("fw.bias", dbw)
-        dv = np.concatenate([dfh, dfw], axis=2)
+        dv = []
+        for d, dl, f in (("h", dlh, fh), ("w", dlw, fw)):
+            df, dw, db = K.conv2d_1x1_backward(dl, f, p.value(f"f{d}.weight"), with_bias=True)
+            p.accumulate_grad(f"f{d}.weight", dw)
+            p.accumulate_grad(f"f{d}.bias", db)
+            dv.append(df)
+        dv = np.concatenate(dv, axis=2)
         if self.cfg.delta_activation == "hard_swish":
             dnu = K.hard_swish_backward(dv, nu)
         else:
@@ -286,25 +379,21 @@ class CoordinateAttention:
         p.accumulate_grad("norm.beta", dbeta)
         df_in, dw1, _ = K.conv2d_1x1_backward(du, f_in, p.value("f1.weight"))
         p.accumulate_grad("f1.weight", dw1)
-        dzh, dzw = df_in[:, :, :h], df_in[:, :, h:]
-        dx += K.strip_pool_backward(dzh, x.shape, pooled_axis=3)
-        dx += K.strip_pool_backward(dzw, x.shape, pooled_axis=2)
-        return dx
+        h = fh.shape[2]
+        return df_in[:, :, :h], df_in[:, :, h:]
 
 
 # ---------------------------------------------------------------------------
 # SE and ECA (channel-only baselines)
 # ---------------------------------------------------------------------------
 
-class SqueezeExcitation:
+class SqueezeExcitation(_ChannelBlock):
     """Global pool -> C->mip -> relu -> mip->C -> sigmoid channel gate."""
 
-    def __init__(self, channels, cfg=None, seed=0, params=None):
-        self.cfg = cfg or SeConfig()
-        self.channels = channels
-        self.mip = self.cfg.intermediate_channels(channels)
-        self.params = params if params is not None else self.init_params(seed)
-        self._cache = None
+    default_cfg = SeConfig()
+
+    def _resolve(self):
+        self.mip = self.cfg.intermediate_channels(self.channels)
 
     def init_params(self, seed):
         rng = np.random.default_rng(seed)
@@ -314,43 +403,26 @@ class SqueezeExcitation:
         store.add("fc2.weight", _he_normal(rng, (c, mip), mip))
         return store
 
-    def forward(self, x, keep_intermediates=False):
+    def _logits(self, pooled):
         p = self.params
-        pooled = K.global_avg_pool(x)  # (N,C,1)
         u = K.conv2d_1x1(pooled, p.value("fc1.weight"))
         a = K.relu(u)
-        v = K.conv2d_1x1(a, p.value("fc2.weight"))
-        gate = K.sigmoid(v)  # (N,C,1)
-        y = x * gate[:, :, :, None]
-        if keep_intermediates:
-            self._cache = (x, pooled, u, a, gate)
-        return y, ChannelGate(gate[:, :, 0])
+        return K.conv2d_1x1(a, p.value("fc2.weight")), (pooled, u, a)
 
-    def backward(self, dy):
-        if self._cache is None:
-            raise RuntimeError("backward requires forward(keep_intermediates=True)")
-        x, pooled, u, a, gate = self._cache
+    def _logits_backward(self, dv, pooled, u, a):
         p = self.params
-        dx = dy * gate[:, :, :, None]
-        dgate = (dy * x).sum(axis=(2, 3))[:, :, None]
-        dv = K.sigmoid_backward(dgate, gate)
         da, dw2, _ = K.conv2d_1x1_backward(dv, a, p.value("fc2.weight"))
         du = K.relu_backward(da, u)
         dpooled, dw1, _ = K.conv2d_1x1_backward(du, pooled, p.value("fc1.weight"))
         p.accumulate_grad("fc1.weight", dw1)
         p.accumulate_grad("fc2.weight", dw2)
-        dx += K.global_avg_pool_backward(dpooled, x.shape)
-        return dx
+        return dpooled
 
 
-class EfficientChannelAttention:
+class EfficientChannelAttention(_ChannelBlock):
     """Global pool -> 1D conv of size k across the channel axis -> sigmoid."""
 
-    def __init__(self, channels, cfg=None, seed=0, params=None):
-        self.cfg = cfg or EcaConfig()
-        self.channels = channels
-        self.params = params if params is not None else self.init_params(seed)
-        self._cache = None
+    default_cfg = EcaConfig()
 
     def init_params(self, seed):
         rng = np.random.default_rng(seed)
@@ -359,50 +431,46 @@ class EfficientChannelAttention:
         store.add("conv.weight", _he_normal(rng, (1, 1, k), k))
         return store
 
-    def forward(self, x, keep_intermediates=False):
-        p = self.params
-        pooled = K.global_avg_pool(x)  # (N,C,1)
+    def _logits(self, pooled):
         seq = pooled.transpose(0, 2, 1)  # (N,1,C): channels as the sequence
-        v = K.conv1d_grouped(seq, p.value("conv.weight"), groups=1)
-        gate = K.sigmoid(v.transpose(0, 2, 1))  # (N,C,1)
-        y = x * gate[:, :, :, None]
-        if keep_intermediates:
-            self._cache = (x, seq, gate)
-        return y, ChannelGate(gate[:, :, 0])
+        v = K.conv1d_grouped(seq, self.params.value("conv.weight"), groups=1)
+        return v.transpose(0, 2, 1), (seq,)
 
-    def backward(self, dy):
-        if self._cache is None:
-            raise RuntimeError("backward requires forward(keep_intermediates=True)")
-        x, seq, gate = self._cache
-        p = self.params
-        dx = dy * gate[:, :, :, None]
-        dgate = (dy * x).sum(axis=(2, 3))[:, :, None]
-        dv = K.sigmoid_backward(dgate, gate).transpose(0, 2, 1)
-        dseq, dw, _ = K.conv1d_grouped_backward(dv, seq, p.value("conv.weight"), groups=1)
-        p.accumulate_grad("conv.weight", dw)
-        dpooled = dseq.transpose(0, 2, 1)
-        dx += K.global_avg_pool_backward(dpooled, x.shape)
-        return dx
+    def _logits_backward(self, dv, seq):
+        dseq, dw, _ = K.conv1d_grouped_backward(
+            dv.transpose(0, 2, 1), seq, self.params.value("conv.weight"), groups=1
+        )
+        self.params.accumulate_grad("conv.weight", dw)
+        return dseq.transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
-# factory
+# registry
 # ---------------------------------------------------------------------------
 
-MODULE_CHOICES = ("se", "eca", "ca", "ca-gn", "ela-t", "ela-b", "ela-s", "ela-l")
+# name -> (block class, config); gradcheck workloads seed blocks by position,
+# so the order is part of the contract
+REGISTRY = {
+    "se": (SqueezeExcitation, SeConfig()),
+    "eca": (EfficientChannelAttention, EcaConfig()),
+    "ca": (CoordinateAttention, CaConfig(norm_flavor="bn")),
+    "ca-gn": (CoordinateAttention, CaConfig(norm_flavor="gn")),
+    **{kind: (EfficientLocalAttention, cfg) for kind, cfg in ELA_PRESETS.items()},
+}
+MODULE_CHOICES = tuple(REGISTRY)
+
+
+def lookup(kind):
+    """(block class, config) registered under `kind`, ignoring case."""
+    try:
+        return REGISTRY[kind.lower()]
+    except KeyError:
+        raise ValueError(
+            f"unknown attention module {kind!r}; choose from {tuple(REGISTRY)}"
+        ) from None
 
 
 def build_attention(kind, channels, seed=0):
-    """Construct an attention block by CLI name; see MODULE_CHOICES."""
-    kind = kind.lower()
-    if kind in ELA_PRESETS:
-        return EfficientLocalAttention(channels, ELA_PRESETS[kind], seed=seed)
-    if kind == "se":
-        return SqueezeExcitation(channels, seed=seed)
-    if kind == "eca":
-        return EfficientChannelAttention(channels, seed=seed)
-    if kind == "ca":
-        return CoordinateAttention(channels, CaConfig(norm_flavor="bn"), seed=seed)
-    if kind == "ca-gn":
-        return CoordinateAttention(channels, CaConfig(norm_flavor="gn"), seed=seed)
-    raise ValueError(f"unknown attention module {kind!r}; choose from {MODULE_CHOICES}")
+    """Construct an attention block by registered name; see REGISTRY."""
+    cls, cfg = lookup(kind)
+    return cls(channels, cfg, seed=seed)

@@ -16,9 +16,8 @@ from elakit.accounting import PlacementSpec, audit_network, param_count, param_c
 from elakit.cli import main
 from elakit.gradcheck import check_module_gradients
 from elakit.modules import ELA_PRESETS, build_attention
+from elakit.modules import MODULE_CHOICES as ALL_KINDS
 from elakit.toy import gradcam, localization_hit_rate, make_toy_batch, train_toy
-
-ALL_KINDS = ("se", "eca", "ca", "ca-gn", "ela-t", "ela-b", "ela-s", "ela-l")
 
 
 def report(criterion, detail):

@@ -12,8 +12,8 @@ from elakit.accounting import (
     param_count,
     param_count_enumerated,
 )
+from elakit.modules import MODULE_CHOICES as ALL_KINDS
 
-ALL_KINDS = ("se", "eca", "ca", "ca-gn", "ela-t", "ela-b", "ela-s", "ela-l")
 CHANNEL_GRID = (16, 64, 256, 512)
 
 

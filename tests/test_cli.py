@@ -147,9 +147,11 @@ class TestTrainAndCam:
             assert blob.startswith(b"P5\n32 32\n255\n")
             assert len(blob.split(b"255\n", 1)[1]) == 32 * 32
 
-    def test_negative_steps_exit_2_with_one_line(self, tmp_path):
+    @pytest.mark.parametrize("attention, steps", [("none", "-1"), ("bogus", "1")],
+                             ids=["negative-steps", "bogus-attention"])
+    def test_negative_steps_exit_2_with_one_line(self, tmp_path, attention, steps):
         out = tmp_path / "run"
-        result = run_cli(["train-toy", "--attention", "none", "--steps", "-1",
+        result = run_cli(["train-toy", "--attention", attention, "--steps", steps,
                           "--out", str(out)])
         assert result.returncode == 2
         lines = result.stderr.strip().splitlines()
@@ -181,6 +183,7 @@ class TestTrainAndCam:
             code = main(["train-toy", "--attention", "none", "--steps", "40",
                          "--seed", "15", "--lr", "1e9", "--out", str(tmp_path / "run")])
         assert code == 3
+        assert not (tmp_path / "run").exists()
 
 
 class TestDeterminism:

@@ -339,6 +339,20 @@ class TestGroupNorm:
         out_b, _ = K.group_norm(3.0 * x, 2, np.ones(4), np.zeros(4))
         assert np.max(np.abs(out_a - out_b)) < 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(8, 64, 112), (8, 512, 14), (2, 16, 12), (8, 256, 56)])
+    def test_forward_bitwise_equal_to_np_var_form(self, shape, dtype):
+        # reference: the np.var form, which subtracts the mean in a pass of its own
+        x = (3.0 * rand(shape, 32) + 1.5).astype(dtype)
+        gamma, beta = rand((shape[1],), 33), rand((shape[1],), 34)
+        xg = x.reshape(shape[0], 16, -1)
+        mean = xg.mean(axis=2, keepdims=True)
+        inv_std = 1.0 / np.sqrt(xg.var(axis=2, keepdims=True) + 1e-5)
+        xhat = ((xg - mean) * inv_std).reshape(shape)
+        out, (got_xhat, got_inv_std, _, _) = K.group_norm(x, 16, gamma, beta)
+        assert np.array_equal(got_inv_std, inv_std) and np.array_equal(got_xhat, xhat)
+        assert np.array_equal(out, gamma[None, :, None] * xhat + beta[None, :, None])
+
     def test_divisibility_error(self):
         with pytest.raises(K.ShapeError):
             K.group_norm(rand((1, 4, 3)), 3, np.ones(4), np.zeros(4))

@@ -1,13 +1,18 @@
-"""Attention module contracts: fixed points, oracles, gradients, structure."""
+"""Attention module contracts: registry, fixed points, oracles, gradients, structure."""
+
+import argparse
 
 import numpy as np
 import pytest
 
 from elakit import kernels as K
+from elakit.accounting import flop_count, param_count, param_count_enumerated
+from elakit.cli import build_parser
 from elakit.gradcheck import check_module_gradients, fd_gradient, max_rel_error
 from elakit.modules import (
     ELA_PRESETS,
     MODULE_CHOICES,
+    REGISTRY,
     CaConfig,
     CoordinateAttention,
     EcaConfig,
@@ -18,8 +23,6 @@ from elakit.modules import (
     SqueezeExcitation,
     build_attention,
 )
-
-ALL_KINDS = ("se", "eca", "ca", "ca-gn", "ela-t", "ela-b", "ela-s", "ela-l")
 
 
 def rand(shape, seed=0):
@@ -68,6 +71,47 @@ class TestConfigs:
     def test_eca_even_kernel_rejected(self):
         with pytest.raises(ValueError):
             EcaConfig(kernel_size=4)
+
+
+class TestRegistry:
+    def test_cli_module_choices_are_the_registry(self):
+        subcommands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        for command in ("gradcheck", "bench"):
+            (module,) = [a for a in subcommands[command]._actions if a.dest == "module"]
+            assert tuple(module.choices) == MODULE_CHOICES == tuple(REGISTRY)
+        # the order is part of the contract: the gradcheck benchmark seeds by position
+        assert MODULE_CHOICES == ("se", "eca", "ca", "ca-gn", "ela-t", "ela-b", "ela-s", "ela-l")
+
+    def test_new_kind_is_one_registry_entry(self, monkeypatch):
+        monkeypatch.setitem(
+            REGISTRY, "ela-k3", (EfficientLocalAttention, ElaConfig(3, "depthwise", 16, "k3"))
+        )
+        module = build_attention("ela-k3", 16, seed=19)
+        assert module.cfg.kernel_size == 3
+        errors = check_module_gradients(module, rand((2, 16, 5, 7), 18), direction_seed=20)
+        assert max(errors.values()) < 1e-5, errors
+        for channels in (16, 64):
+            assert param_count("ela-k3", channels) == param_count_enumerated("ela-k3", channels)
+        # k=3 instead of ELA-B's k=7: four fewer conv taps per strip position
+        assert flop_count("ela-b", 16, 5, 7) - flop_count("ela-k3", 16, 5, 7) == 16 * 4 * 12
+
+    def test_one_lookup_error_and_case_insensitive_names(self):
+        calls = (
+            (build_attention, (16,)),
+            (param_count, (16,)),
+            (flop_count, (16, 5, 7)),
+        )
+        messages = set()
+        for fn, args in calls:
+            with pytest.raises(ValueError) as err:
+                fn("nonsense", *args)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+        assert build_attention("ELA-B", 16).cfg == ELA_PRESETS["ela-b"]
+        assert param_count("ELA-B", 16) == param_count("ela-b", 16)
+        assert flop_count("ELA-B", 16, 5, 7) == flop_count("ela-b", 16, 5, 7)
 
 
 class TestInitParams:
@@ -184,14 +228,14 @@ class TestReferenceComposition:
 
 
 class TestStructuralInvariants:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kind", MODULE_CHOICES)
     @pytest.mark.parametrize("shape", [(1, 16, 3, 3), (2, 32, 4, 6), (1, 64, 7, 5)])
     def test_shape_preservation(self, kind, shape):
         x = rand(shape, 11)
         y, _ = build_attention(kind, shape[1], seed=0).forward(x)
         assert y.shape == x.shape
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kind", MODULE_CHOICES)
     def test_gate_range_and_contraction(self, kind):
         x = rand((2, 16, 4, 4), 12)
         y, aux = build_attention(kind, 16, seed=1).forward(x)
@@ -220,14 +264,14 @@ class TestStructuralInvariants:
 
     def test_determinism(self):
         x = rand((2, 16, 4, 5), 15)
-        for kind in ALL_KINDS:
+        for kind in MODULE_CHOICES:
             y1, _ = build_attention(kind, 16, seed=3).forward(x)
             y2, _ = build_attention(kind, 16, seed=3).forward(x)
             assert np.array_equal(y1, y2)
 
     def test_degenerate_1x1_spatial(self):
         x = rand((2, 16, 1, 1), 16)
-        for kind in ALL_KINDS:
+        for kind in MODULE_CHOICES:
             y, _ = build_attention(kind, 16, seed=0).forward(x)
             assert y.shape == x.shape
             assert np.all(np.isfinite(y))
@@ -258,7 +302,7 @@ class TestStructuralInvariants:
 
 
 class TestGradients:
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("kind", MODULE_CHOICES)
     def test_full_module_gradient_check(self, kind):
         x = rand((2, 16, 5, 7), 18)
         module = build_attention(kind, 16, seed=19)
