@@ -52,13 +52,13 @@ def build_parser():
     p_audit.add_argument("--json-out", help="optional JSON report path")
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference check of one module")
-    p_gc.add_argument("--module", required=True, choices=MODULE_CHOICES)
+    p_gc.add_argument("--module", required=True, type=str.lower, choices=MODULE_CHOICES)
     p_gc.add_argument("--shape", type=_parse_shape, default=(2, 16, 5, 7), metavar="N,C,H,W")
     p_gc.add_argument("--seed", type=int, default=0)
     p_gc.add_argument("--tol", type=float, default=1e-5)
 
     p_bench = sub.add_parser("bench", help="forward/backward wall-time statistics")
-    p_bench.add_argument("--module", required=True, choices=MODULE_CHOICES)
+    p_bench.add_argument("--module", required=True, type=str.lower, choices=MODULE_CHOICES)
     p_bench.add_argument("--shape", type=_parse_shape, default=(1, 256, 14, 14), metavar="N,C,H,W")
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)

@@ -204,6 +204,39 @@ class NormState:
             self.running_var = np.ones(self.num_channels)
 
 
+def _channel_axes(x):
+    """The axes of (N,C,...) but C, and the shape of a per-channel vector."""
+    return (0,) + tuple(range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
+
+
+def _standardize(x, axes, eps):
+    """(x - mean) / sqrt(var + eps) over `axes`: (xhat, mean, var, inv_std),
+    statistics with keepdims. numpy's own variance steps, so bitwise its var,
+    but the centered copy is formed once and then normalized in place."""
+    mean = x.mean(axis=axes, keepdims=True)
+    xhat = x - mean
+    var = (xhat * xhat).mean(axis=axes, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    return xhat, mean, var, inv_std
+
+
+def _standardize_backward(dy, xhat, gamma, inv_std, view, axes):
+    """Adjoint of gamma * xhat + beta per channel of (N,C,...), xhat being x
+    standardized over `axes` of its `view`: (dx, dgamma, dbeta), dx in place."""
+    caxes, bshape = _channel_axes(dy)
+    dgamma = (dy * xhat).sum(axis=caxes)
+    dbeta = dy.sum(axis=caxes)
+    dxhat = (dy * gamma.reshape(bshape)).reshape(view)
+    xhat = xhat.reshape(view)
+    m = dxhat.size // inv_std.size  # elements behind each statistic
+    dx = m * dxhat
+    dx -= dxhat.sum(axis=axes, keepdims=True)
+    dx -= xhat * (dxhat * xhat).sum(axis=axes, keepdims=True)
+    dx *= inv_std / m
+    return dx.reshape(dy.shape), dgamma, dbeta
+
+
 def batch_norm(x, state, gamma, beta):
     """Per-channel batch normalization; x is (N,C,...).
 
@@ -213,8 +246,7 @@ def batch_norm(x, state, gamma, beta):
     """
     if x.ndim < 3:
         raise ShapeError(f"expected at least (N,C,L), got shape {x.shape}")
-    axes = (0,) + tuple(range(2, x.ndim))
-    bshape = (1, -1) + (1,) * (x.ndim - 2)
+    axes, bshape = _channel_axes(x)
     if state.mode == "eval":
         if not state.initialized:
             raise UninitializedNormError(
@@ -223,70 +255,37 @@ def batch_norm(x, state, gamma, beta):
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = (x - state.running_mean.reshape(bshape)) * inv_std.reshape(bshape)
         return gamma.reshape(bshape) * xhat + beta.reshape(bshape), None
-    count = x.shape[0] * int(np.prod(x.shape[2:]))
-    if count < 2:
+    if x.shape[0] * int(np.prod(x.shape[2:])) < 2:
         raise ShapeError("train-mode batch norm needs N * spatial >= 2")
-    mean = x.mean(axis=axes)
-    var = x.var(axis=axes)  # population variance
+    xhat, mean, var, inv_std = _standardize(x, axes, state.eps)
     m = state.momentum
-    state.running_mean = (1.0 - m) * state.running_mean + m * mean
-    state.running_var = (1.0 - m) * state.running_var + m * var
+    state.running_mean = (1.0 - m) * state.running_mean + m * mean.reshape(-1)
+    state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
     state.initialized = True
-    inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
-    out = gamma.reshape(bshape) * xhat + beta.reshape(bshape)
-    return out, (xhat, inv_std, gamma, count)
+    return gamma.reshape(bshape) * xhat + beta.reshape(bshape), (xhat, inv_std, gamma)
 
 
 def batch_norm_backward(dy, cache):
     """Adjoint of train-mode batch_norm: returns (dx, dgamma, dbeta)."""
-    xhat, inv_std, gamma, count = cache
-    axes = (0,) + tuple(range(2, dy.ndim))
-    bshape = (1, -1) + (1,) * (dy.ndim - 2)
-    dgamma = (dy * xhat).sum(axis=axes)
-    dbeta = dy.sum(axis=axes)
-    dxhat = dy * gamma.reshape(bshape)
-    dx = (inv_std.reshape(bshape) / count) * (
-        count * dxhat
-        - dxhat.sum(axis=axes).reshape(bshape)
-        - xhat * (dxhat * xhat).sum(axis=axes).reshape(bshape)
-    )
-    return dx, dgamma, dbeta
+    xhat, inv_std, gamma = cache
+    return _standardize_backward(dy, xhat, gamma, inv_std, dy.shape, _channel_axes(dy)[0])
 
 
 def group_norm(x, num_groups, gamma, beta, eps=1e-5):
     """Per-sample group normalization on (N,C,L); returns (out, cache)."""
     check_ncl(x)
-    n, c, length = x.shape
+    n, c, _ = x.shape
     if c % num_groups != 0:
         raise ShapeError(f"num_groups={num_groups} does not divide C={c}")
-    xg = x.reshape(n, num_groups, -1)
-    # np.var's own steps with the centered copy formed once and normalized
-    # in place: bitwise the same var and xhat, two full passes fewer
-    xc = xg - xg.mean(axis=2, keepdims=True)
-    var = (xc * xc).mean(axis=2, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xc *= inv_std
-    xhat = xc.reshape(n, c, length)
-    out = gamma[None, :, None] * xhat + beta[None, :, None]
-    return out, (xhat, inv_std, gamma, num_groups)
+    xhat, _, _, inv_std = _standardize(x.reshape(n, num_groups, -1), 2, eps)
+    xhat = xhat.reshape(x.shape)
+    return gamma[None, :, None] * xhat + beta[None, :, None], (xhat, inv_std, gamma, num_groups)
 
 
 def group_norm_backward(dy, cache):
     """Adjoint of group_norm: returns (dx, dgamma, dbeta)."""
     xhat, inv_std, gamma, num_groups = cache
-    n, c, length = dy.shape
-    dgamma = (dy * xhat).sum(axis=(0, 2))
-    dbeta = dy.sum(axis=(0, 2))
-    dxhat = (dy * gamma[None, :, None]).reshape(n, num_groups, -1)
-    xh = xhat.reshape(n, num_groups, -1)
-    m = dxhat.shape[2]
-    dx = (inv_std / m) * (
-        m * dxhat
-        - dxhat.sum(axis=2, keepdims=True)
-        - xh * (dxhat * xh).sum(axis=2, keepdims=True)
-    )
-    return dx.reshape(n, c, length), dgamma, dbeta
+    return _standardize_backward(dy, xhat, gamma, inv_std, (dy.shape[0], num_groups, -1), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -109,15 +109,12 @@ ELA_PRESETS = {
 class CaConfig:
     reduction_r: int = 32
     norm_flavor: str = "bn"  # bn | gn
-    delta_activation: str = "hard_swish"  # hard_swish | relu
 
     def __post_init__(self):
         if self.reduction_r < 1:
             raise ValueError("reduction_r must be positive")
         if self.norm_flavor not in ("bn", "gn"):
             raise ValueError(f"unknown norm_flavor {self.norm_flavor!r}")
-        if self.delta_activation not in ("hard_swish", "relu"):
-            raise ValueError(f"unknown delta_activation {self.delta_activation!r}")
 
     def intermediate_channels(self, channels):
         return max(8, int(round(channels / self.reduction_r)))
@@ -134,9 +131,8 @@ class CaConfig:
 
     def flop_count(self, c, h, w):
         mip = self.intermediate_channels(c)
-        delta_cost = HARD_SWISH_COST if self.delta_activation == "hard_swish" else RELU_COST
-        # per strip position: F1, norm, delta, then F_h or F_w with bias
-        per_position = mip * c + 4 * mip + delta_cost * mip + (c * mip + c)
+        # per strip position: F1, norm, hard swish, then F_h or F_w with bias
+        per_position = mip * c + 4 * mip + HARD_SWISH_COST * mip + (c * mip + c)
         return _directional_macs(c, h, w) + per_position * (h + w)
 
 
@@ -310,8 +306,8 @@ class EfficientLocalAttention(_DirectionalBlock):
 
 class CoordinateAttention(_DirectionalBlock):
     """Concat both strip-pooled maps, bottleneck channels by r, normalize
-    (BN or GN), apply the delta activation, split, re-expand to C channels,
-    and gate with both directional sigmoid maps."""
+    (BN or GN), apply hard swish, split, re-expand to C channels, and gate
+    with both directional sigmoid maps."""
 
     default_cfg = CaConfig()
 
@@ -349,10 +345,7 @@ class CoordinateAttention(_DirectionalBlock):
         f_in = K.concat_spatial(zh, zw)
         u = K.conv2d_1x1(f_in, p.value("f1.weight"))
         nu, norm_cache = self._norm(u)
-        if self.cfg.delta_activation == "hard_swish":
-            v = K.hard_swish(nu)
-        else:
-            v = K.relu(nu)
+        v = K.hard_swish(nu)
         fh, fw = K.split_spatial(v, zh.shape[2])
         lh = K.conv2d_1x1(fh, p.value("fh.weight"), p.value("fh.bias"))
         lw = K.conv2d_1x1(fw, p.value("fw.weight"), p.value("fw.bias"))
@@ -367,10 +360,7 @@ class CoordinateAttention(_DirectionalBlock):
             p.accumulate_grad(f"f{d}.bias", db)
             dv.append(df)
         dv = np.concatenate(dv, axis=2)
-        if self.cfg.delta_activation == "hard_swish":
-            dnu = K.hard_swish_backward(dv, nu)
-        else:
-            dnu = K.relu_backward(dv, nu)
+        dnu = K.hard_swish_backward(dv, nu)
         if self.cfg.norm_flavor == "bn":
             du, dgamma, dbeta = K.batch_norm_backward(dnu, norm_cache)
         else:

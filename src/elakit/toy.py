@@ -227,7 +227,6 @@ def cross_entropy(logits, labels):
 class TrainState:
     lr: float = 0.05
     momentum: float = 0.9
-    weight_decay: float = 0.0
     step: int = 0
     history: list = field(default_factory=list)  # (step, loss, accuracy)
     velocity: dict = field(default_factory=dict)
@@ -237,8 +236,6 @@ def sgd_step(model, state):
     """One SGD-with-momentum update from the accumulated gradients."""
     for full, owner, local in model.iter_params():
         g = owner.grad(local)
-        if state.weight_decay:
-            g = g + state.weight_decay * owner.value(local)
         v = state.velocity.get(full)
         if v is None:
             v = np.zeros_like(g)
@@ -256,7 +253,6 @@ def train_toy(
     lr=0.05,
     momentum=0.9,
     train_size=512,
-    model_seed=None,
 ):
     """Train a MiniCnn on the quadrant task; returns (model, state, batch).
 
@@ -264,7 +260,7 @@ def train_toy(
     """
     data = make_toy_batch(train_size, seed=seed)
     cfg = MiniCnnConfig(attention=attention if attention != "none" else None)
-    model = MiniCnn(cfg, seed=seed if model_seed is None else model_seed)
+    model = MiniCnn(cfg, seed=seed)
     state = TrainState(lr=lr, momentum=momentum)
     order_rng = np.random.default_rng(seed + 1)
     for step in range(steps):
@@ -349,10 +345,7 @@ def gradcam(model, x, class_indices, target_stage=-1):
     lo = cam.min(axis=(1, 2), keepdims=True)
     hi = cam.max(axis=(1, 2), keepdims=True)
     span = hi - lo
-    flat = span[:, 0, 0] <= 0.0
-    out = np.where(span > 0.0, (cam - lo) / np.where(span > 0.0, span, 1.0), 0.0)
-    out[flat] = 0.0
-    return out
+    return np.where(span > 0.0, (cam - lo) / np.where(span > 0.0, span, 1.0), 0.0)
 
 
 def localization_hit_rate(model, batch, radius=6.0, target_stage=-1):

@@ -88,6 +88,12 @@ class TestGradcheck:
         result = run_cli(["gradcheck", "--module", "bogus"])
         assert result.returncode == 2
 
+    def test_module_name_ignores_case(self, capsys):
+        # the same names build_attention accepts through modules.lookup
+        code = main(["gradcheck", "--module", "ELA-B", "--shape", "1,8,3,4"])
+        assert code == 0
+        assert "gradcheck ela-b" in capsys.readouterr().out
+
 
 class TestBench:
     def test_csv_schema(self, tmp_path):
@@ -113,6 +119,12 @@ class TestBench:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
         assert not (tmp_path / "b.csv").exists()
+
+    def test_module_name_ignores_case(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--module", "ELA-B", "--shape", "1,16,4,4",
+                     "--reps", "10", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("ela-b,forward,10,")
 
     def test_two_modules_side_by_side(self, tmp_path):
         for module in ("ela-b", "se"):

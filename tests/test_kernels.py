@@ -1,5 +1,7 @@
 """Kernel-level forward oracles and finite-difference backward checks."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -345,13 +347,10 @@ class TestGroupNorm:
         # reference: the np.var form, which subtracts the mean in a pass of its own
         x = (3.0 * rand(shape, 32) + 1.5).astype(dtype)
         gamma, beta = rand((shape[1],), 33), rand((shape[1],), 34)
-        xg = x.reshape(shape[0], 16, -1)
-        mean = xg.mean(axis=2, keepdims=True)
-        inv_std = 1.0 / np.sqrt(xg.var(axis=2, keepdims=True) + 1e-5)
-        xhat = ((xg - mean) * inv_std).reshape(shape)
+        ref_out, xhat, inv_std = reference_group_norm(x, 16, gamma, beta)
         out, (got_xhat, got_inv_std, _, _) = K.group_norm(x, 16, gamma, beta)
         assert np.array_equal(got_inv_std, inv_std) and np.array_equal(got_xhat, xhat)
-        assert np.array_equal(out, gamma[None, :, None] * xhat + beta[None, :, None])
+        assert np.array_equal(out, ref_out)
 
     def test_divisibility_error(self):
         with pytest.raises(K.ShapeError):
@@ -371,6 +370,110 @@ class TestGroupNorm:
         assert max_rel_error(dx, fd_gradient(lambda v: loss(v, gamma, beta), x)) < 1e-5
         assert max_rel_error(dgamma, fd_gradient(lambda v: loss(x, v, beta), gamma)) < 1e-5
         assert max_rel_error(dbeta, fd_gradient(lambda v: loss(x, gamma, v), beta)) < 1e-5
+
+
+# the forms batch_norm and group_norm had before they shared one standardize
+# core and one adjoint; the shapes are CA-BN's and ELA's sites plus a small one
+NORM_SHAPES = [(8, 8, 112), (8, 16, 14), (8, 64, 56), (8, 512, 7), (2, 16, 12)]
+
+
+def reference_batch_norm(x, state, gamma, beta):
+    """Train-mode batch norm in the np.var form: (out, xhat, inv_std)."""
+    axes = (0,) + tuple(range(2, x.ndim))
+    bshape = (1, -1) + (1,) * (x.ndim - 2)
+    mean = x.mean(axis=axes)
+    var = x.var(axis=axes)
+    m = state.momentum
+    state.running_mean = (1.0 - m) * state.running_mean + m * mean
+    state.running_var = (1.0 - m) * state.running_var + m * var
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    xhat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
+    return gamma.reshape(bshape) * xhat + beta.reshape(bshape), xhat, inv_std
+
+
+def reference_batch_norm_backward(dy, xhat, inv_std, gamma):
+    axes = (0,) + tuple(range(2, dy.ndim))
+    bshape = (1, -1) + (1,) * (dy.ndim - 2)
+    count = dy.shape[0] * int(np.prod(dy.shape[2:]))
+    dgamma = (dy * xhat).sum(axis=axes)
+    dbeta = dy.sum(axis=axes)
+    dxhat = dy * gamma.reshape(bshape)
+    dx = (inv_std.reshape(bshape) / count) * (
+        count * dxhat
+        - dxhat.sum(axis=axes).reshape(bshape)
+        - xhat * (dxhat * xhat).sum(axis=axes).reshape(bshape)
+    )
+    return dx, dgamma, dbeta
+
+
+def reference_group_norm(x, num_groups, gamma, beta, eps=1e-5):
+    """Group norm in the np.var form: (out, xhat, inv_std)."""
+    xg = x.reshape(x.shape[0], num_groups, -1)
+    mean = xg.mean(axis=2, keepdims=True)
+    inv_std = 1.0 / np.sqrt(xg.var(axis=2, keepdims=True) + eps)
+    xhat = ((xg - mean) * inv_std).reshape(x.shape)
+    return gamma[None, :, None] * xhat + beta[None, :, None], xhat, inv_std
+
+
+def reference_group_norm_backward(dy, xhat, inv_std, gamma, num_groups):
+    n, c, length = dy.shape
+    dgamma = (dy * xhat).sum(axis=(0, 2))
+    dbeta = dy.sum(axis=(0, 2))
+    dxhat = (dy * gamma[None, :, None]).reshape(n, num_groups, -1)
+    xh = xhat.reshape(n, num_groups, -1)
+    m = dxhat.shape[2]
+    dx = (inv_std / m) * (
+        m * dxhat
+        - dxhat.sum(axis=2, keepdims=True)
+        - xh * (dxhat * xh).sum(axis=2, keepdims=True)
+    )
+    return dx.reshape(n, c, length), dgamma, dbeta
+
+
+def norm_inputs(shape, dtype):
+    c = shape[1]
+    x = (3.0 * rand(shape, 40) + 1.5).astype(dtype)
+    dy = rand(shape, 41).astype(dtype)
+    return x, dy, rand((c,), 42), rand((c,), 43)
+
+
+def assert_bitwise(got, expected):
+    for g, e in zip(got, expected, strict=True):
+        assert g.dtype == e.dtype and np.array_equal(g, e)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", NORM_SHAPES)
+class TestNormalizationAgainstReferences:
+    def test_batch_norm_forward_bitwise(self, shape, dtype):
+        x, _, gamma, beta = norm_inputs(shape, dtype)
+        state, ref_state = K.NormState(shape[1]), K.NormState(shape[1])
+        out, (xhat, _, _) = K.batch_norm(x, state, gamma, beta)
+        ref_out, ref_xhat, _ = reference_batch_norm(x, ref_state, gamma, beta)
+        assert_bitwise(
+            (out, xhat, state.running_mean, state.running_var),
+            (ref_out, ref_xhat, ref_state.running_mean, ref_state.running_var),
+        )
+
+    def test_batch_norm_backward_bitwise(self, shape, dtype):
+        x, dy, gamma, beta = norm_inputs(shape, dtype)
+        _, cache = K.batch_norm(x, K.NormState(shape[1]), gamma, beta)
+        _, xhat, inv_std = reference_batch_norm(x, K.NormState(shape[1]), gamma, beta)
+        assert_bitwise(
+            K.batch_norm_backward(dy, cache),
+            reference_batch_norm_backward(dy, xhat, inv_std, gamma),
+        )
+
+    def test_group_norm_backward_bitwise(self, shape, dtype):
+        groups = math.gcd(shape[1], 16)
+        x, dy, gamma, beta = norm_inputs(shape, dtype)
+        out, cache = K.group_norm(x, groups, gamma, beta)
+        ref_out, xhat, inv_std = reference_group_norm(x, groups, gamma, beta)
+        assert_bitwise((out, cache[0], cache[1]), (ref_out, xhat, inv_std))
+        assert_bitwise(
+            K.group_norm_backward(dy, cache),
+            reference_group_norm_backward(dy, xhat, inv_std, gamma, groups),
+        )
 
 
 class TestActivations:
