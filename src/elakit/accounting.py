@@ -66,8 +66,14 @@ class Site:
     width: int
 
     def __post_init__(self):
-        if min(self.channels, self.height, self.width) < 1:
+        dims = (self.channels, self.height, self.width)
+        if not all(type(d) is int for d in dims):
+            raise ValueError(f"site {self.name!r}: dims must be integers, got {dims}")
+        if min(dims) < 1:
             raise ValueError(f"site {self.name!r}: all dims must be >= 1")
+
+
+SITE_KEYS = ("name", "channels", "height", "width")
 
 
 @dataclass
@@ -80,13 +86,23 @@ class PlacementSpec:
 
     @classmethod
     def from_dict(cls, data):
-        sites = [
-            Site(s["name"], int(s["channels"]), int(s["height"]), int(s["width"]))
-            for s in data.get("sites", [])
-        ]
+        """Validate a parsed placement file; every defect is a ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("placement must be a JSON object")
+        lookup(data.get("module"))  # an unknown or missing name fails here
+        raw_sites = data.get("sites", [])
+        if not isinstance(raw_sites, list) or not all(
+            isinstance(s, dict) and all(k in s for k in SITE_KEYS) for s in raw_sites
+        ):
+            raise ValueError(f"'sites' must be a list of objects with keys {SITE_KEYS}")
+        sites = [Site(*(s[k] for k in SITE_KEYS)) for s in raw_sites]
         names = [s.name for s in sites]
-        if len(set(names)) != len(names):
-            raise ValueError("site names must be unique")
+        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+            raise ValueError("site names must be unique strings")
+        for key in ("baseline_params_m", "published_total_params_m"):
+            value = data.get(key)
+            if value is not None and type(value) not in (int, float):
+                raise ValueError(f"{key!r} must be a number, got {value!r}")
         return cls(
             network=data.get("network", "unnamed"),
             module=data["module"],

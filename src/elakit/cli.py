@@ -93,7 +93,7 @@ def cmd_audit(args):
     except json.JSONDecodeError as exc:
         print(f"error: {args.config}: line {exc.lineno}: {exc.msg}", file=sys.stderr)
         return EXIT_USAGE
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: invalid placement config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -61,7 +61,6 @@ class ElaConfig:
     kernel_size: int = 7
     conv_groups_rule: str = "depthwise"  # depthwise | channels_over_8
     gn_num_groups: int = 16
-    variant_name: str = "custom"
 
     def __post_init__(self):
         if self.kernel_size % 2 == 0:
@@ -98,10 +97,10 @@ class ElaConfig:
 
 
 ELA_PRESETS = {
-    "ela-t": ElaConfig(5, "depthwise", 32, "T"),
-    "ela-b": ElaConfig(7, "depthwise", 16, "B"),
-    "ela-s": ElaConfig(5, "channels_over_8", 16, "S"),
-    "ela-l": ElaConfig(7, "channels_over_8", 16, "L"),
+    "ela-t": ElaConfig(5, "depthwise", 32),
+    "ela-b": ElaConfig(7, "depthwise", 16),
+    "ela-s": ElaConfig(5, "channels_over_8", 16),
+    "ela-l": ElaConfig(7, "channels_over_8", 16),
 }
 
 
@@ -452,12 +451,10 @@ MODULE_CHOICES = tuple(REGISTRY)
 
 def lookup(kind):
     """(block class, config) registered under `kind`, ignoring case."""
-    try:
-        return REGISTRY[kind.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown attention module {kind!r}; choose from {tuple(REGISTRY)}"
-        ) from None
+    entry = REGISTRY.get(kind.lower()) if isinstance(kind, str) else None
+    if entry is None:
+        raise ValueError(f"unknown attention module {kind!r}; choose from {tuple(REGISTRY)}")
+    return entry
 
 
 def build_attention(kind, channels, seed=0):

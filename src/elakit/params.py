@@ -3,10 +3,11 @@
 File layout: 8-byte magic "ELAKIT01", uint64 little-endian header length,
 UTF-8 JSON header (tensor names, shapes, dtypes, byte offsets, roles, free
 meta dict), then the raw tensor bytes back to back. Round trips are bit
-exact.
+exact; tensors are float64 or float32.
 """
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAGIC = b"ELAKIT01"
+DTYPES = ("float64", "float32")  # the only tensor dtypes `load` accepts
+TENSOR_KEYS = ("name", "shape", "dtype", "offset", "nbytes")
 
 
 @dataclass
@@ -36,6 +39,15 @@ class ParamStore:
         value = np.ascontiguousarray(value)
         self._entries[name] = Param(value, np.zeros_like(value), role)
         return value
+
+    def adopt(self, prefix, other):
+        """Hold every entry of `other` here as `prefix + name`. The entries are
+        the same Param objects, so values and grads stay shared with `other`."""
+        entries = {prefix + name: entry for name, entry in other.items()}
+        clash = entries.keys() & self._entries.keys()
+        if clash:
+            raise KeyError(f"duplicate parameter name {min(clash)!r}")
+        self._entries.update(entries)
 
     def __contains__(self, name):
         return name in self._entries
@@ -114,22 +126,58 @@ class ParamStore:
 
     @classmethod
     def load(cls, path):
+        """Read a file written by `save`; any defect is a ValueError naming the file."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if blob[:8] != MAGIC:
             raise ValueError(f"{path}: not a parameter store file")
         header_len = int.from_bytes(blob[8:16], "little")
-        header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+        try:
+            header = json.loads(blob[16:16 + header_len].decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or JSON, a truncated header included
+            raise ValueError(f"{path}: unreadable header: {exc}") from None
+        if not (
+            isinstance(header, dict)
+            and isinstance(header.get("tensors"), list)
+            and isinstance(header.get("meta", {}), dict)
+        ):
+            raise ValueError(f"{path}: header needs a 'tensors' list and a 'meta' object")
         data = blob[16 + header_len:]
         store = cls()
         store.meta = header.get("meta", {})
         for t in header["tensors"]:
-            arr = np.frombuffer(
-                data, dtype=np.dtype(t["dtype"]), count=int(np.prod(t["shape"], dtype=int)),
-                offset=t["offset"],
-            ).reshape(t["shape"]).copy()
+            arr = _read_tensor(path, data, t)
+            if t["name"] in store:
+                raise ValueError(f"{path}: tensor {t['name']!r} appears twice")
             store.add(t["name"], arr, role=t.get("role", "weight"))
         return store
+
+
+def _read_tensor(path, data, entry):
+    """A copy of the array that one header entry places in `data`."""
+    if not (
+        isinstance(entry, dict)
+        and all(k in entry for k in TENSOR_KEYS)
+        and isinstance(entry["name"], str)
+    ):
+        raise ValueError(f"{path}: tensor entry {entry!r} needs the keys {TENSOR_KEYS}")
+    name, shape, dtype, offset, nbytes = (entry[k] for k in TENSOR_KEYS)
+    if dtype not in DTYPES:
+        raise ValueError(f"{path}: tensor {name!r}: dtype {dtype!r} is not one of {DTYPES}")
+    if not (isinstance(shape, list) and all(type(d) is int and d >= 0 for d in shape)):
+        raise ValueError(f"{path}: tensor {name!r}: shape {shape!r} is not a list of sizes")
+    count = math.prod(shape)
+    if not (
+        type(offset) is int
+        and 0 <= offset
+        and nbytes == count * np.dtype(dtype).itemsize
+        and offset + nbytes <= len(data)
+    ):
+        raise ValueError(
+            f"{path}: tensor {name!r}: {nbytes!r} bytes at offset {offset!r} do not "
+            f"hold shape {shape} in the {len(data)}-byte payload"
+        )
+    return np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
 
 
 def atomic_write_bytes(path, data):

@@ -25,6 +25,9 @@ class DivergenceError(RuntimeError):
 # dataset
 # ---------------------------------------------------------------------------
 
+NUM_CLASSES = 4  # the quadrant labels below
+
+
 @dataclass
 class ToyBatch:
     images: np.ndarray  # (n, 1, S, S) in [0, 1]
@@ -44,7 +47,7 @@ def make_toy_batch(n, seed, size=32, noise_std=0.02, blob_sigma=2.0):
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     half = size // 2
-    labels = rng.integers(0, 4, size=n)
+    labels = rng.integers(0, NUM_CLASSES, size=n)
     rows = rng.uniform(0, half, size=n) + half * (labels // 2)
     cols = rng.uniform(0, half, size=n) + half * (labels % 2)
     yy, xx = np.mgrid[0:size, 0:size]
@@ -64,15 +67,28 @@ def make_toy_batch(n, seed, size=32, noise_std=0.02, blob_sigma=2.0):
 @dataclass
 class MiniCnnConfig:
     stage_channels: tuple = (16, 32, 64)
-    blocks_per_stage: int = 1
     attention: str | None = None  # a build_attention kind, or None
     input_shape: tuple = (1, 32, 32)
-    num_classes: int = 4
+
+    def __post_init__(self):
+        dims = (*self.stage_channels, *self.input_shape)
+        if not (
+            all(isinstance(d, (int, np.integer)) and d > 0 for d in dims)
+            and len(self.input_shape) == 3
+            and self.input_shape[1] >= 2 ** len(self.stage_channels)
+        ):
+            raise ValueError(
+                f"stage_channels {self.stage_channels!r} and input_shape (C, H, W) "
+                f"{self.input_shape!r} need positive ints and H >= 2**stages"
+            )
 
 
 class MiniCnn:
     """conv3x3 -> attention -> relu -> avgpool stages, then a linear head
-    over the globally pooled features. Explicit forward/backward; no tape."""
+    over the flattened final map. Explicit forward/backward; no tape.
+
+    `params` holds all model state: each attention block's store is adopted
+    as `stage{i}.attn.<name>`, its entries shared rather than copied."""
 
     def __init__(self, cfg=None, seed=0):
         self.cfg = cfg or MiniCnnConfig()
@@ -81,59 +97,49 @@ class MiniCnn:
         self.attn = []
         c_prev = self.cfg.input_shape[0]
         for i, c in enumerate(self.cfg.stage_channels):
-            for j in range(self.cfg.blocks_per_stage):
-                fan_in = c_prev * 9
-                self.params.add(
-                    f"stage{i}.block{j}.conv.weight",
-                    rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(c, c_prev, 3, 3)),
-                )
-                self.params.add(f"stage{i}.block{j}.conv.bias", np.zeros(c), role="bias")
-                c_prev = c
+            # one conv per stage; `block0` keeps the names of older model files
+            self.params.add(
+                f"stage{i}.block0.conv.weight",
+                rng.normal(0.0, np.sqrt(2.0 / (c_prev * 9)), size=(c, c_prev, 3, 3)),
+            )
+            self.params.add(f"stage{i}.block0.conv.bias", np.zeros(c), role="bias")
+            c_prev = c
+            attn = None
             if self.cfg.attention:
-                attn_seed = int(rng.integers(0, 2**31))
-                self.attn.append(build_attention(self.cfg.attention, c, seed=attn_seed))
-            else:
-                self.attn.append(None)
+                attn = build_attention(self.cfg.attention, c, seed=int(rng.integers(0, 2**31)))
+                self.params.adopt(f"stage{i}.attn.", attn.params)
+            self.attn.append(attn)
         # linear head over the flattened final map: a globally pooled head
         # would be translation-invariant and could not read out location
         side = self.cfg.input_shape[1] // 2 ** len(self.cfg.stage_channels)
         feat_dim = c_prev * side * side
         self.params.add(
             "head.weight",
-            rng.normal(0.0, np.sqrt(2.0 / feat_dim), size=(self.cfg.num_classes, feat_dim)),
+            rng.normal(0.0, np.sqrt(2.0 / feat_dim), size=(NUM_CLASSES, feat_dim)),
         )
-        self.params.add("head.bias", np.zeros(self.cfg.num_classes), role="bias")
+        self.params.add("head.bias", np.zeros(NUM_CLASSES), role="bias")
+        self.params.meta = {
+            "kind": "mini_cnn",
+            "stage_channels": list(self.cfg.stage_channels),
+            "attention": self.cfg.attention,
+            "input_shape": list(self.cfg.input_shape),
+        }
         self._cache = None
         self.stage_activations = None  # post-attention, pre-relu, per stage
         self.stage_activation_grads = None
 
-    def iter_params(self):
-        """Yield (full name, owning store, local name) across model + attention."""
-        for name in self.params.names():
-            yield name, self.params, name
-        for i, attn in enumerate(self.attn):
-            if attn is not None:
-                for name in attn.params.names():
-                    yield f"stage{i}.attn.{name}", attn.params, name
-
     def zero_grads(self):
         self.params.zero_grads()
-        for attn in self.attn:
-            if attn is not None:
-                attn.params.zero_grads()
 
     def forward(self, x, keep_intermediates=False):
         cache = []
         self.stage_activations = []
         h = x
         for i in range(len(self.cfg.stage_channels)):
-            stage_cache = []
-            for j in range(self.cfg.blocks_per_stage):
-                w = self.params.value(f"stage{i}.block{j}.conv.weight")
-                b = self.params.value(f"stage{i}.block{j}.conv.bias")
-                out = K.conv2d_same(h, w, b)
-                stage_cache.append((h, out))
-                h = out
+            conv = f"stage{i}.block0.conv."
+            x_in = h
+            w, b = self.params.value(conv + "weight"), self.params.value(conv + "bias")
+            h = K.conv2d_same(h, w, b)
             if self.attn[i] is not None:
                 h, _ = self.attn[i].forward(h, keep_intermediates=keep_intermediates)
             self.stage_activations.append(h)
@@ -141,7 +147,7 @@ class MiniCnn:
             h = K.relu(h)
             pooled_from = h.shape
             h = K.avg_pool_2x2(h)
-            cache.append((stage_cache, pre_relu, pooled_from))
+            cache.append((x_in, pre_relu, pooled_from))
         feat = h.reshape(h.shape[0], -1)
         logits = feat @ self.params.value("head.weight").T + self.params.value("head.bias")
         if keep_intermediates:
@@ -159,48 +165,38 @@ class MiniCnn:
         dfeat = dlogits @ w_head
         dh = dfeat.reshape(last_shape)
         for i in reversed(range(len(cache))):
-            stage_cache, pre_relu, pooled_from = cache[i]
+            x_in, pre_relu, pooled_from = cache[i]
             dh = K.avg_pool_2x2_backward(dh, pooled_from)
             dh = K.relu_backward(dh, pre_relu)
             self.stage_activation_grads[i] = dh
             if self.attn[i] is not None:
                 dh = self.attn[i].backward(dh)
-            for j in reversed(range(self.cfg.blocks_per_stage)):
-                x_in, _ = stage_cache[j]
-                w = self.params.value(f"stage{i}.block{j}.conv.weight")
-                dh, dw, db = K.conv2d_same_backward(dh, x_in, w, with_bias=True)
-                self.params.accumulate_grad(f"stage{i}.block{j}.conv.weight", dw)
-                self.params.accumulate_grad(f"stage{i}.block{j}.conv.bias", db)
+            conv = f"stage{i}.block0.conv."
+            dh, dw, db = K.conv2d_same_backward(
+                dh, x_in, self.params.value(conv + "weight"), with_bias=True
+            )
+            self.params.accumulate_grad(conv + "weight", dw)
+            self.params.accumulate_grad(conv + "bias", db)
         return dh
 
     def save(self, path):
-        store = ParamStore()
-        for full, owner, local in self.iter_params():
-            store.add(full, owner.value(local).copy())
-        store.meta = {
-            "kind": "mini_cnn",
-            "stage_channels": list(self.cfg.stage_channels),
-            "blocks_per_stage": self.cfg.blocks_per_stage,
-            "attention": self.cfg.attention,
-            "input_shape": list(self.cfg.input_shape),
-            "num_classes": self.cfg.num_classes,
-        }
-        store.save(path)
+        self.params.save(path)
 
     @classmethod
     def load(cls, path):
         store = ParamStore.load(path)
         meta = store.meta
-        cfg = MiniCnnConfig(
-            stage_channels=tuple(meta["stage_channels"]),
-            blocks_per_stage=meta["blocks_per_stage"],
-            attention=meta["attention"],
-            input_shape=tuple(meta["input_shape"]),
-            num_classes=meta["num_classes"],
-        )
-        model = cls(cfg, seed=0)
-        for full, owner, local in model.iter_params():
-            owner.set_value(local, store.value(full))
+        try:
+            cfg = MiniCnnConfig(
+                stage_channels=tuple(meta["stage_channels"]),
+                attention=meta["attention"],
+                input_shape=tuple(meta["input_shape"]),
+            )
+            model = cls(cfg, seed=0)
+            for name in model.params.names():
+                model.params.set_value(name, store.value(name))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: not a MiniCnn model file: {exc}") from None
         return model
 
 
@@ -234,14 +230,13 @@ class TrainState:
 
 def sgd_step(model, state):
     """One SGD-with-momentum update from the accumulated gradients."""
-    for full, owner, local in model.iter_params():
-        g = owner.grad(local)
-        v = state.velocity.get(full)
+    for name, entry in model.params.items():
+        v = state.velocity.get(name)
         if v is None:
-            v = np.zeros_like(g)
-        v = state.momentum * v + g
-        state.velocity[full] = v
-        owner.value(local)[...] -= state.lr * v
+            v = np.zeros_like(entry.grad)
+        v = state.momentum * v + entry.grad
+        state.velocity[name] = v
+        entry.value[...] -= state.lr * v
     state.step += 1
 
 

@@ -63,6 +63,75 @@ class TestAudit:
         assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
 
 
+PLACEMENT_DEFECTS = {
+    "top-level-list": [{"module": "se", "sites": []}],
+    "sites-not-a-list": {"module": "se", "sites": 5},
+    "site-is-a-string": {"module": "se", "sites": ["layer1"]},
+    "baseline-not-a-number": {
+        "module": "se", "sites": [], "baseline_params_m": "x", "published_total_params_m": 11.7,
+    },
+    "unknown-module": {"module": "bogus", "sites": []},
+    "fractional-dim": {
+        "module": "se", "sites": [{"name": "a", "channels": 64.7, "height": 4, "width": 4}],
+    },
+}
+
+
+@pytest.mark.parametrize("placement", PLACEMENT_DEFECTS.values(), ids=PLACEMENT_DEFECTS)
+def test_malformed_placement_exits_2_with_one_line(tmp_path, placement):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(placement))
+    result = run_cli(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+    assert result.returncode == 2
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert not (tmp_path / "r.csv").exists()
+
+
+def _edit_header(edit):
+    """A defect that rewrites the JSON header of a model file with `edit`."""
+    def defect(blob):
+        n = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + n])
+        edit(header)
+        raw = json.dumps(header).encode()
+        return blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n:]
+    return defect
+
+
+MODEL_DEFECTS = {
+    "bad-magic": lambda blob: b"NOTELAKT" + blob[8:],
+    "truncated-header": lambda blob: blob[:40],
+    "dtype-foo": _edit_header(lambda h: h["tensors"][0].update(dtype="foo")),
+    "tensors-not-a-list": _edit_header(lambda h: h.update(tensors=5)),
+    "meta-not-an-object": _edit_header(lambda h: h.update(meta=[1])),
+    "entry-without-offset": _edit_header(lambda h: h["tensors"][1].pop("offset")),
+    "repeated-name": _edit_header(lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"])),
+    "nbytes-past-payload": _edit_header(lambda h: h["tensors"][-1].update(nbytes=40)),
+    "stage-channels-abc": _edit_header(lambda h: h["meta"].update(stage_channels="abc")),
+    "unknown-attention": _edit_header(lambda h: h["meta"].update(attention="bogus")),
+    "missing-tensor": _edit_header(lambda h: h["tensors"].pop()),
+    "misshapen-tensor": _edit_header(lambda h: h["tensors"][-1].update(shape=[2], nbytes=16)),
+}
+
+
+@pytest.mark.parametrize("defect", MODEL_DEFECTS.values(), ids=MODEL_DEFECTS)
+def test_malformed_model_exits_2_with_one_line_naming_it(tmp_path, defect):
+    from elakit.toy import MiniCnn, MiniCnnConfig
+
+    good = tmp_path / "good.elak"
+    cfg = MiniCnnConfig(stage_channels=(4,), attention="ela-b", input_shape=(1, 8, 8))
+    MiniCnn(cfg).save(good)
+    bad = tmp_path / "bad.elak"
+    bad.write_bytes(defect(good.read_bytes()))
+    result = run_cli(["gradcam", "--model", str(bad), "--out", str(tmp_path / "cam")])
+    assert result.returncode == 2
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert str(bad) in lines[0]
+    assert not (tmp_path / "cam").exists()
+
+
 class TestGradcheck:
     def test_passes_for_ela_b(self, capsys):
         code = main(["gradcheck", "--module", "ela-b", "--shape", "2,16,5,7",

@@ -44,10 +44,10 @@ def zero_weights(module):
 
 class TestConfigs:
     def test_presets_match_published_grid(self):
-        assert ELA_PRESETS["ela-t"] == ElaConfig(5, "depthwise", 32, "T")
-        assert ELA_PRESETS["ela-b"] == ElaConfig(7, "depthwise", 16, "B")
-        assert ELA_PRESETS["ela-s"] == ElaConfig(5, "channels_over_8", 16, "S")
-        assert ELA_PRESETS["ela-l"] == ElaConfig(7, "channels_over_8", 16, "L")
+        assert ELA_PRESETS["ela-t"] == ElaConfig(5, "depthwise", 32)
+        assert ELA_PRESETS["ela-b"] == ElaConfig(7, "depthwise", 16)
+        assert ELA_PRESETS["ela-s"] == ElaConfig(5, "channels_over_8", 16)
+        assert ELA_PRESETS["ela-l"] == ElaConfig(7, "channels_over_8", 16)
 
     def test_group_resolution(self):
         cfg = ELA_PRESETS["ela-s"]
@@ -86,7 +86,7 @@ class TestRegistry:
 
     def test_new_kind_is_one_registry_entry(self, monkeypatch):
         monkeypatch.setitem(
-            REGISTRY, "ela-k3", (EfficientLocalAttention, ElaConfig(3, "depthwise", 16, "k3"))
+            REGISTRY, "ela-k3", (EfficientLocalAttention, ElaConfig(3, "depthwise", 16))
         )
         module = build_attention("ela-k3", 16, seed=19)
         assert module.cfg.kernel_size == 3

@@ -83,3 +83,25 @@ def test_bad_magic_rejected(tmp_path):
     path.write_bytes(b"not a store at all")
     with pytest.raises(ValueError):
         ParamStore.load(path)
+
+
+def test_adopt_shares_entries_under_prefix():
+    inner = make_store()
+    outer = ParamStore()
+    outer.add("head.weight", np.ones(2))
+    outer.adopt("stage0.attn.", inner)
+    assert outer.names() == ["head.weight"] + [f"stage0.attn.{n}" for n in inner.names()]
+    assert outer.value("stage0.attn.conv.weight") is inner.value("conv.weight")
+    assert outer.role("stage0.attn.gn.gamma") == "norm"
+    outer.accumulate_grad("stage0.attn.gn.beta", np.full(4, 3.0))
+    assert np.array_equal(inner.grad("gn.beta"), np.full(4, 3.0))
+    outer.set_value("stage0.attn.gn.gamma", np.full(4, 2.0))
+    assert np.array_equal(inner.value("gn.gamma"), np.full(4, 2.0))
+
+
+def test_adopt_duplicate_name_rejected_and_store_unchanged():
+    outer = ParamStore()
+    outer.add("a.gn.gamma", np.zeros(4))
+    with pytest.raises(KeyError, match="a.gn.gamma"):
+        outer.adopt("a.", make_store())
+    assert outer.names() == ["a.gn.gamma"]

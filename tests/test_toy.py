@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from elakit.gradcheck import fd_gradient, max_rel_error
+from elakit.params import ParamStore
 from elakit.toy import (
     DivergenceError,
     MiniCnn,
@@ -101,22 +102,22 @@ class TestMiniCnn:
         _, dlogits, _ = cross_entropy(logits, labels)
         model.zero_grads()
         model.backward(dlogits)
-        for full, owner, local in model.iter_params():
-            value = owner.value(local)
+        for name in model.params.names():
+            value = model.params.value(name)
 
-            def loss_of(v, _o=owner, _l=local, _orig=value):
-                _o.set_value(_l, v)
+            def loss_of(v, _name=name, _orig=value):
+                model.params.set_value(_name, v)
                 out = loss_fn()
-                _o.set_value(_l, _orig)
+                model.params.set_value(_name, _orig)
                 return out
 
             numeric = fd_gradient(loss_of, value.copy())
-            err = max_rel_error(owner.grad(local), numeric)
-            assert err < 1e-4, f"{full}: {err}"
+            err = max_rel_error(model.params.grad(name), numeric)
+            assert err < 1e-4, f"{name}: {err}"
 
     def test_zero_lr_leaves_params_unchanged(self):
         model = self.tiny_model()
-        before = {f: o.value(l).copy() for f, o, l in model.iter_params()}
+        before = {name: model.params.value(name).copy() for name in model.params.names()}
         batch = make_toy_batch(4, seed=12, size=8)
         logits = model.forward(batch.images, keep_intermediates=True)
         _, dlogits, _ = cross_entropy(logits, batch.labels)
@@ -124,8 +125,8 @@ class TestMiniCnn:
         model.backward(dlogits)
         state = TrainState(lr=0.0)
         sgd_step(model, state)
-        for full, owner, local in model.iter_params():
-            assert np.array_equal(owner.value(local), before[full])
+        for name in model.params.names():
+            assert np.array_equal(model.params.value(name), before[name])
         assert state.step == 1
 
     def test_single_sample_overfit(self):
@@ -152,6 +153,49 @@ class TestMiniCnn:
     def test_divergence_guard(self):
         with pytest.raises(DivergenceError), np.errstate(all="ignore"):
             train_toy("none", 40, seed=15, lr=1e9)
+
+    def test_sgd_step_moves_the_attention_blocks_params(self):
+        # the model store holds the blocks' own entries, not copies
+        model = self.tiny_model()
+        block = model.attn[0].params
+        before = block.value("conv_h.weight").copy()
+        batch = make_toy_batch(4, seed=21, size=8)
+        logits = model.forward(batch.images, keep_intermediates=True)
+        model.zero_grads()
+        model.backward(cross_entropy(logits, batch.labels)[1])
+        assert model.params.grad("stage0.attn.conv_h.weight") is block.grad("conv_h.weight")
+        sgd_step(model, TrainState(lr=0.1))
+        assert not np.array_equal(block.value("conv_h.weight"), before)
+        assert model.params.value("stage0.attn.conv_h.weight") is block.value("conv_h.weight")
+
+    def test_loads_file_in_the_two_store_layout(self, tmp_path):
+        # that layout lists the model's names before the attention names,
+        # gives every tensor role "weight", and carries two meta keys that
+        # MiniCnnConfig does not read
+        model, _, data = train_toy("ela-b", 3, seed=22, train_size=64)
+        old = ParamStore()
+        for name in sorted(model.params.names(), key=lambda n: ".attn." in n):
+            old.add(name, model.params.value(name).copy())
+        old.meta = {
+            "kind": "mini_cnn", "stage_channels": [16, 32, 64], "blocks_per_stage": 1,
+            "attention": "ela-b", "input_shape": [1, 32, 32], "num_classes": 4,
+        }
+        path = tmp_path / "old.elak"
+        old.save(path)
+        loaded = MiniCnn.load(path)
+        x = data.images[:4]
+        assert np.array_equal(loaded.forward(x), model.forward(x))
+
+    def test_saved_file_keeps_each_role(self, tmp_path):
+        model = self.tiny_model("ca")
+        path = tmp_path / "model.elak"
+        model.save(path)
+        store = ParamStore.load(path)
+        assert store.names() == model.params.names()
+        roles = {name: store.role(name) for name in store.names()}
+        assert roles == {name: model.params.role(name) for name in store.names()}
+        assert roles["stage0.block0.conv.bias"] == "bias"
+        assert roles["stage0.attn.norm.gamma"] == "norm"
 
     def test_save_load_round_trip(self, tmp_path):
         model, _, data = train_toy("eca", 3, seed=16)
