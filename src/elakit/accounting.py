@@ -113,8 +113,15 @@ class PlacementSpec:
 
     @classmethod
     def from_json_file(cls, path):
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        """Read and validate a placement file; any defect is a ValueError naming the file."""
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        try:
+            return cls.from_dict(json.loads(blob.decode("utf-8")))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+        except ValueError as exc:  # bad UTF-8, or a defect that from_dict names
+            raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass

@@ -1,7 +1,9 @@
 """Command-line entry point: audit, gradcheck, bench, train-toy, gradcam.
 
 Exit codes: 0 success, 1 check failure, 2 usage/parse error, 3 numeric
-divergence. All file outputs are written atomically (temp file + rename).
+divergence. Commands return 0 or 1 and raise on bad input; `main` alone
+turns an error into its exit code and one `error:` line. All file outputs
+are written atomically (temp file + rename).
 ELA_THREADS caps the worker threads used by the numeric backend.
 """
 
@@ -24,16 +26,10 @@ def _apply_thread_cap():
 
 
 def _parse_shape(text):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("shape must be N,C,H,W")
-    try:
-        shape = tuple(int(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError("shape entries must be integers") from None
-    if min(shape) < 1:
-        raise argparse.ArgumentTypeError("shape entries must be >= 1")
-    return shape
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 4 or not all(p.isdecimal() and int(p) >= 1 for p in parts):
+        raise argparse.ArgumentTypeError("shape must be N,C,H,W with integers >= 1")
+    return tuple(int(p) for p in parts)
 
 
 def build_parser():
@@ -85,22 +81,7 @@ def cmd_audit(args):
     from elakit.accounting import PlacementSpec, audit_network
     from elakit.params import atomic_write_text
 
-    try:
-        spec = PlacementSpec.from_json_file(args.config)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.config}: line {exc.lineno}: {exc.msg}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: invalid placement config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = audit_network(spec)
-    except ValueError as exc:
-        print(f"error: invalid placement: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = audit_network(PlacementSpec.from_json_file(args.config))
     atomic_write_text(args.out, report.to_csv())
     if args.json_out:
         atomic_write_text(args.json_out, report.to_json())
@@ -127,11 +108,7 @@ def cmd_gradcheck(args):
     from elakit.modules import build_attention
 
     n, c, h, w = args.shape
-    try:
-        module = build_attention(args.module, c, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    module = build_attention(args.module, c, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     x = rng.standard_normal((n, c, h, w))
     errors = check_module_gradients(module, x, direction_seed=args.seed + 2)
@@ -158,14 +135,9 @@ def cmd_bench(args):
     from elakit.params import atomic_write_text
 
     if args.reps < 10:
-        print("error: --reps must be >= 10", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--reps must be >= 10")
     n, c, h, w = args.shape
-    try:
-        module = build_attention(args.module, c, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    module = build_attention(args.module, c, seed=args.seed)
     dtype = np.float32 if args.precision == "f32" else np.float64
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((n, c, h, w)).astype(dtype)
@@ -195,25 +167,14 @@ def cmd_bench(args):
 
 
 def cmd_train_toy(args):
-    import os.path
-
     from elakit.params import atomic_write_text
-    from elakit.toy import DivergenceError, evaluate, history_csv, train_toy
+    from elakit.toy import evaluate, history_csv, train_toy
 
     if args.steps < 0:
-        print("error: --steps must be >= 0", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        model, state, data = train_toy(
-            args.attention, args.steps, args.seed,
-            batch_size=args.batch_size, lr=args.lr,
-        )
-    except DivergenceError as exc:
-        print(f"error: training diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--steps must be >= 0")
+    model, state, data = train_toy(
+        args.attention, args.steps, args.seed, batch_size=args.batch_size, lr=args.lr,
+    )
     os.makedirs(args.out, exist_ok=True)
     atomic_write_text(os.path.join(args.out, "loss.csv"), history_csv(state.history))
     model.save(os.path.join(args.out, "model.elak"))
@@ -230,21 +191,14 @@ def cmd_train_toy(args):
 
 
 def cmd_gradcam(args):
-    import os.path
-
     from elakit.toy import MiniCnn, gradcam, make_toy_batch, write_pgm
 
     if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        model = MiniCnn.load(args.model)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
-        print(f"error: cannot load model: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    os.makedirs(args.out, exist_ok=True)
-    batch = make_toy_batch(args.samples, seed=args.seed)
+        raise ValueError("--samples must be >= 1")
+    model = MiniCnn.load(args.model)
+    batch = make_toy_batch(args.samples, seed=args.seed, size=model.cfg.input_shape[1])
     maps = gradcam(model, batch.images, batch.labels)
+    os.makedirs(args.out, exist_ok=True)
     for i in range(args.samples):
         write_pgm(os.path.join(args.out, f"heatmap_{i:03d}.pgm"), maps[i])
     print(f"wrote {args.samples} heatmaps to {args.out}")
@@ -262,9 +216,20 @@ COMMANDS = {
 
 def main(argv=None):
     _apply_thread_cap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return COMMANDS[args.command](args)
+    args = build_parser().parse_args(argv)
+    from elakit.toy import DivergenceError  # after the thread cap: imports numpy
+
+    try:
+        return COMMANDS[args.command](args)
+    except DivergenceError as exc:
+        message, code = f"training diverged: {exc}", EXIT_DIVERGED
+    except OSError as exc:  # a missing file, a directory, an unwritable output
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        code = EXIT_USAGE
+    except ValueError as exc:  # bad options, configs, shapes and file contents
+        message, code = exc, EXIT_USAGE
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

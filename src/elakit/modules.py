@@ -181,11 +181,11 @@ class _Block:
     `default_cfg`, resolves derived sizes in `_resolve` (before
     `init_params`), and implements `_backward(dy, *self._cache)`."""
 
-    def __init__(self, channels, cfg=None, seed=0, params=None):
+    def __init__(self, channels, cfg=None, seed=0):
         self.cfg = cfg or self.default_cfg
         self.channels = channels
         self._resolve()
-        self.params = params if params is not None else self.init_params(seed)
+        self.params = self.init_params(seed)
         self._cache = None
 
     def _resolve(self):

@@ -132,9 +132,14 @@ class ParamStore:
         if blob[:8] != MAGIC:
             raise ValueError(f"{path}: not a parameter store file")
         header_len = int.from_bytes(blob[8:16], "little")
+        if 16 + header_len > len(blob):
+            raise ValueError(
+                f"{path}: header length {header_len} runs past the end of the "
+                f"{len(blob)}-byte file"
+            )
         try:
             header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or JSON, a truncated header included
+        except ValueError as exc:  # bad UTF-8 or JSON
             raise ValueError(f"{path}: unreadable header: {exc}") from None
         if not (
             isinstance(header, dict)
@@ -181,17 +186,21 @@ def _read_tensor(path, data, entry):
 
 
 def atomic_write_bytes(path, data):
-    """Write via temp file + rename so interrupted runs never leave partials."""
+    """Write via temp file + rename so interrupted runs never leave partials.
+    An OSError names `path`, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".elakit-tmp-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".elakit-tmp-")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def atomic_write_text(path, text):

@@ -75,11 +75,12 @@ class MiniCnnConfig:
         if not (
             all(isinstance(d, (int, np.integer)) and d > 0 for d in dims)
             and len(self.input_shape) == 3
+            and self.input_shape[1] == self.input_shape[2]  # the head is sized from H
             and self.input_shape[1] >= 2 ** len(self.stage_channels)
         ):
             raise ValueError(
                 f"stage_channels {self.stage_channels!r} and input_shape (C, H, W) "
-                f"{self.input_shape!r} need positive ints and H >= 2**stages"
+                f"{self.input_shape!r} need positive ints, H == W and H >= 2**stages"
             )
 
 

@@ -112,6 +112,8 @@ MODEL_DEFECTS = {
     "unknown-attention": _edit_header(lambda h: h["meta"].update(attention="bogus")),
     "missing-tensor": _edit_header(lambda h: h["tensors"].pop()),
     "misshapen-tensor": _edit_header(lambda h: h["tensors"][-1].update(shape=[2], nbytes=16)),
+    # the head is sized from H alone, so H != W would feed it H x H images
+    "non-square-input": _edit_header(lambda h: h["meta"].update(input_shape=[1, 8, 4])),
 }
 
 
@@ -130,6 +132,33 @@ def test_malformed_model_exits_2_with_one_line_naming_it(tmp_path, defect):
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert str(bad) in lines[0]
     assert not (tmp_path / "cam").exists()
+
+
+# each case maps tmp_path, where `dir` exists, to (argv, the path the error names)
+OS_ERROR_CASES = {
+    "gradcam-model-is-a-directory": lambda d: (
+        ["gradcam", "--model", d / "dir", "--out", d / "cam"], d / "dir"),
+    "audit-config-is-a-directory": lambda d: (
+        ["audit", "--config", d / "dir", "--out", d / "r.csv"], d / "dir"),
+    "audit-out-in-missing-directory": lambda d: (
+        ["audit", "--config", BUNDLED_ELA, "--out", d / "missing" / "r.csv"],
+        d / "missing" / "r.csv"),
+    "audit-out-is-a-directory": lambda d: (
+        ["audit", "--config", BUNDLED_ELA, "--out", d / "dir"], d / "dir"),
+}
+
+
+@pytest.mark.parametrize("case", OS_ERROR_CASES.values(), ids=OS_ERROR_CASES)
+def test_os_error_exits_2_with_one_line_naming_the_path(tmp_path, case):
+    (tmp_path / "dir").mkdir()
+    argv, named = case(tmp_path)
+    result = run_cli(argv)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert str(named) in lines[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
 
 
 class TestGradcheck:
@@ -252,6 +281,22 @@ class TestTrainAndCam:
         assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
         assert not cam.exists()
 
+    def test_gradcam_uses_the_models_input_size(self, tmp_path):
+        from elakit.toy import MiniCnn, MiniCnnConfig
+
+        model = tmp_path / "small.elak"
+        cfg = MiniCnnConfig(stage_channels=(4,), attention="ela-b", input_shape=(1, 8, 8))
+        MiniCnn(cfg, seed=1).save(model)
+        cam = tmp_path / "cam"
+        assert main(["gradcam", "--model", str(model), "--samples", "2",
+                     "--out", str(cam)]) == 0
+        pgms = sorted(cam.glob("*.pgm"))
+        assert len(pgms) == 2
+        for p in pgms:
+            blob = p.read_bytes()
+            assert blob.startswith(b"P5\n8 8\n255\n")
+            assert len(blob.split(b"255\n", 1)[1]) == 8 * 8
+
     def test_gradcam_missing_model_exits_2(self, tmp_path):
         assert main(["gradcam", "--model", str(tmp_path / "nope.elak"),
                      "--out", str(tmp_path / "cam")]) == 2
@@ -265,6 +310,16 @@ class TestTrainAndCam:
                          "--seed", "15", "--lr", "1e9", "--out", str(tmp_path / "run")])
         assert code == 3
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_prints_one_error_line(self, tmp_path, capsys):
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            main(["train-toy", "--attention", "none", "--steps", "40",
+                  "--seed", "15", "--lr", "1e9", "--out", str(tmp_path / "run")])
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: training diverged:"), lines
 
 
 class TestDeterminism:

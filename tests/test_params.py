@@ -85,6 +85,19 @@ def test_bad_magic_rejected(tmp_path):
         ParamStore.load(path)
 
 
+def test_header_length_past_the_end_named_with_both_sizes(tmp_path):
+    path = tmp_path / "short.elak"
+    make_store().save(path)
+    blob = path.read_bytes()
+    header_len = int.from_bytes(blob[8:16], "little")
+    path.write_bytes(blob[:40])
+    with pytest.raises(ValueError) as info:
+        ParamStore.load(path)
+    assert str(info.value) == (
+        f"{path}: header length {header_len} runs past the end of the 40-byte file"
+    )
+
+
 def test_adopt_shares_entries_under_prefix():
     inner = make_store()
     outer = ParamStore()

@@ -90,6 +90,12 @@ class TestMiniCnn:
         )
         return MiniCnn(cfg, seed=10)
 
+    @pytest.mark.parametrize("input_shape", [(1, 8, 4), (1, 4, 8)])
+    def test_config_rejects_non_square_input(self, input_shape):
+        # the head is sized from H alone
+        with pytest.raises(ValueError, match="H == W"):
+            MiniCnnConfig(stage_channels=(4,), input_shape=input_shape)
+
     def test_full_model_gradient_check(self):
         model = self.tiny_model()
         batch = make_toy_batch(2, seed=11, size=8)
