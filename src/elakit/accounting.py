@@ -89,7 +89,7 @@ class PlacementSpec:
         """Validate a parsed placement file; every defect is a ValueError."""
         if not isinstance(data, dict):
             raise ValueError("placement must be a JSON object")
-        lookup(data.get("module"))  # an unknown or missing name fails here
+        cfg = lookup(data.get("module"))[1]  # an unknown or missing name fails here
         raw_sites = data.get("sites", [])
         if not isinstance(raw_sites, list) or not all(
             isinstance(s, dict) and all(k in s for k in SITE_KEYS) for s in raw_sites
@@ -99,6 +99,11 @@ class PlacementSpec:
         names = [s.name for s in sites]
         if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
             raise ValueError("site names must be unique strings")
+        for site in sites:
+            try:  # the closed form raises the config's own error for a C it rejects
+                cfg.param_count(site.channels)
+            except ValueError as exc:
+                raise ValueError(f"site {site.name!r}: {exc}") from None
         for key in ("baseline_params_m", "published_total_params_m"):
             value = data.get(key)
             if value is not None and type(value) not in (int, float):

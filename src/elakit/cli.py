@@ -79,12 +79,13 @@ def build_parser():
 
 def cmd_audit(args):
     from elakit.accounting import PlacementSpec, audit_network
-    from elakit.params import atomic_write_text
+    from elakit.params import atomic_write_files
 
     report = audit_network(PlacementSpec.from_json_file(args.config))
-    atomic_write_text(args.out, report.to_csv())
+    outputs = {args.out: report.to_csv().encode("utf-8")}
     if args.json_out:
-        atomic_write_text(args.json_out, report.to_json())
+        outputs[args.json_out] = report.to_json().encode("utf-8")
+    atomic_write_files(outputs)
     print(f"{report.network} + {report.module}: delta {report.total_params} params, "
           f"{report.total_flops} MACs/sample over {len(report.rows)} sites")
     if report.reconciliation:

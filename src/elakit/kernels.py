@@ -12,6 +12,7 @@ all are pure functions except `batch_norm`, which updates running statistics
 in train mode.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +30,14 @@ class UninitializedNormError(RuntimeError):
 def check_nchw(x):
     if x.ndim != 4:
         raise ShapeError(f"expected rank-4 (N,C,H,W) tensor, got shape {x.shape}")
-    if min(x.shape) < 1:
+    if x.size == 0:
         raise ShapeError(f"all dimensions must be >= 1, got {x.shape}")
 
 
 def check_ncl(x):
     if x.ndim != 3:
         raise ShapeError(f"expected rank-3 (N,C,L) tensor, got shape {x.shape}")
-    if min(x.shape) < 1:
+    if x.size == 0:
         raise ShapeError(f"all dimensions must be >= 1, got {x.shape}")
 
 
@@ -96,14 +97,19 @@ def global_avg_pool_backward(dz, orig_shape):
 
 def _group_columns(a, groups, k):
     """Same-padded length-k windows of (N,C,L), one row per position and
-    group: (N, G, L, C/G * k). A strided view when C/G == 1, else a copy."""
+    group: (N, G, L, C/G * k). A read-only strided view where the windows
+    allow one (C/G == 1 or k == 1, say), else a copy."""
     n, c, length = a.shape
-    pad = k // 2
+    pad, cpg = k // 2, c // groups
     # zero-fill and copy in: a third of np.pad's cost at these small sizes
     ap = np.zeros((n, c, length + 2 * pad), dtype=a.dtype)
     ap[:, :, pad:pad + length] = a
-    win = sliding_window_view(ap, k, axis=2).reshape(n, groups, c // groups, length, k)
-    return win.transpose(0, 1, 3, 2, 4).reshape(n, groups, length, (c // groups) * k)
+    # the (N, G, L, C/G, k) windows straight from the strides: a fixed cost
+    # well below sliding_window_view's, which dominates at small sizes
+    sn, sc, sl = ap.strides
+    win = np.ndarray((n, groups, length, cpg, k), ap.dtype, ap, 0, (sn, sc * cpg, sl, sc, sl))
+    win.flags.writeable = False
+    return win.reshape(n, groups, length, cpg * k)
 
 
 def conv1d_grouped(x, weight, bias=None, groups=1):
@@ -212,10 +218,14 @@ def _channel_axes(x):
 def _standardize(x, axes, eps):
     """(x - mean) / sqrt(var + eps) over `axes`: (xhat, mean, var, inv_std),
     statistics with keepdims. numpy's own variance steps, so bitwise its var,
-    but the centered copy is formed once and then normalized in place."""
-    mean = x.mean(axis=axes, keepdims=True)
+    but the centered copy is formed once and then normalized in place. Each
+    mean is ndarray.mean's sum and in-place divide without its Python layer."""
+    mean = np.add.reduce(x, axes, keepdims=True)
+    m = np.intp(x.size // mean.size)  # elements behind each statistic
+    mean /= m
     xhat = x - mean
-    var = (xhat * xhat).mean(axis=axes, keepdims=True)
+    var = np.add.reduce(xhat * xhat, axes, keepdims=True)
+    var /= m
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
     return xhat, mean, var, inv_std
@@ -255,7 +265,7 @@ def batch_norm(x, state, gamma, beta):
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
         xhat = (x - state.running_mean.reshape(bshape)) * inv_std.reshape(bshape)
         return gamma.reshape(bshape) * xhat + beta.reshape(bshape), None
-    if x.shape[0] * int(np.prod(x.shape[2:])) < 2:
+    if x.shape[0] * math.prod(x.shape[2:]) < 2:
         raise ShapeError("train-mode batch norm needs N * spatial >= 2")
     xhat, mean, var, inv_std = _standardize(x, axes, state.eps)
     m = state.momentum
@@ -302,7 +312,7 @@ def sigmoid_backward(dy, s):
 
 
 def hard_swish(x):
-    return x * np.clip(x + 3.0, 0.0, 6.0) / 6.0
+    return x * (x + 3.0).clip(0.0, 6.0) / 6.0
 
 
 def hard_swish_backward(dy, x):

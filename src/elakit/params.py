@@ -6,6 +6,7 @@ meta dict), then the raw tensor bytes back to back. Round trips are bit
 exact; tensors are float64 or float32.
 """
 
+import errno
 import json
 import math
 import os
@@ -114,14 +115,11 @@ class ParamStore:
             offset += nbytes
         header = json.dumps({"version": 1, "meta": self.meta, "tensors": tensors})
         header_bytes = header.encode("utf-8")
-        atomic_write_bytes(
-            path,
-            MAGIC
-            + len(header_bytes).to_bytes(8, "little")
-            + header_bytes
-            + b"".join(
-                np.ascontiguousarray(e.value).tobytes() for e in self._entries.values()
-            ),
+        payload = b"".join(
+            np.ascontiguousarray(e.value).tobytes() for e in self._entries.values()
+        )
+        atomic_write_files(
+            {path: MAGIC + len(header_bytes).to_bytes(8, "little") + header_bytes + payload}
         )
 
     @classmethod
@@ -185,23 +183,31 @@ def _read_tensor(path, data, entry):
     return np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
 
 
-def atomic_write_bytes(path, data):
-    """Write via temp file + rename so interrupted runs never leave partials.
-    An OSError names `path`, not the temp file."""
-    directory = os.path.dirname(os.path.abspath(path))
+def atomic_write_files(files):
+    """Write each `path: bytes` item via temp file + rename so interrupted
+    runs never leave partials. Every temp file is written before the first
+    rename, so a path that cannot be written leaves none of the files.
+    An OSError names its path, not the temp file."""
+    temps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".elakit-tmp-")
-        try:
+        for path, data in files.items():
+            if os.path.isdir(path):  # rename would fail only after earlier renames
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(path)), prefix=".elakit-tmp-"
+            )
+            temps.append((tmp, path))
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
+        for tmp, path in temps:
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        for tmp, _ in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_files({path: text.encode("utf-8")})

@@ -14,7 +14,7 @@ import numpy as np
 
 from elakit import kernels as K
 from elakit.modules import build_attention
-from elakit.params import ParamStore, atomic_write_bytes
+from elakit.params import ParamStore, atomic_write_files
 
 
 class DivergenceError(RuntimeError):
@@ -359,4 +359,4 @@ def write_pgm(path, heatmap):
     """Write a [0,1] heatmap as an 8-bit binary portable graymap (P5)."""
     arr = np.clip(np.asarray(heatmap) * 255.0, 0.0, 255.0).astype(np.uint8)
     h, w = arr.shape
-    atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes())
+    atomic_write_files({path: f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()})

@@ -74,6 +74,13 @@ PLACEMENT_DEFECTS = {
     "fractional-dim": {
         "module": "se", "sites": [{"name": "a", "channels": 64.7, "height": 4, "width": 4}],
     },
+    # a well-formed site that the module's config rejects: ela-s needs C % 8 == 0
+    "site-rejected-by-module": {
+        "module": "ela-s", "sites": [
+            {"name": "layer1.0", "channels": 64, "height": 56, "width": 56},
+            {"name": "layer2.0", "channels": 10, "height": 28, "width": 28},
+        ],
+    },
 }
 
 
@@ -86,6 +93,17 @@ def test_malformed_placement_exits_2_with_one_line(tmp_path, placement):
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_site_rejected_by_module_names_the_file_and_the_site(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(PLACEMENT_DEFECTS["site-rejected-by-module"]))
+    result = run_cli(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+    assert result.returncode == 2
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith(f"error: {cfg}: site 'layer2.0': ")
+    assert "C=10" in lines[0]
 
 
 def _edit_header(edit):
@@ -145,6 +163,14 @@ OS_ERROR_CASES = {
         d / "missing" / "r.csv"),
     "audit-out-is-a-directory": lambda d: (
         ["audit", "--config", BUNDLED_ELA, "--out", d / "dir"], d / "dir"),
+    # the CSV could be written, but neither file is unless both can be
+    "audit-json-out-in-missing-directory": lambda d: (
+        ["audit", "--config", BUNDLED_ELA, "--out", d / "r.csv",
+         "--json-out", d / "missing" / "r.json"],
+        d / "missing" / "r.json"),
+    "audit-json-out-is-a-directory": lambda d: (
+        ["audit", "--config", BUNDLED_ELA, "--out", d / "r.csv", "--json-out", d / "dir"],
+        d / "dir"),
 }
 
 

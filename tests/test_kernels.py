@@ -722,3 +722,59 @@ class TestBlasFormsAgainstReferences:
         for out in (K.strip_pool_h(x), K.strip_pool_w(x), K.global_avg_pool(x),
                     K.avg_pool_2x2(x)):
             assert out.dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# the conv1d window view built from the strides against the
+# sliding_window_view form it replaces
+# ---------------------------------------------------------------------------
+
+def reference_group_columns(a, groups, k):
+    """The sliding_window_view form of kernels._group_columns."""
+    n, c, length = a.shape
+    pad = k // 2
+    ap = np.zeros((n, c, length + 2 * pad), dtype=a.dtype)
+    ap[:, :, pad:pad + length] = a
+    win = sliding_window_view(ap, k, axis=2).reshape(n, groups, c // groups, length, k)
+    return win.transpose(0, 1, 3, 2, 4).reshape(n, groups, length, (c // groups) * k)
+
+
+WINDOW_C = 16
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("length", [1, 5, 56])
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("groups", [1, WINDOW_C // 8, WINDOW_C])
+class TestWindowViewAgainstReference:
+    def test_conv1d_grouped_and_backward_bitwise(self, monkeypatch, groups, k, length, dtype):
+        rng = np.random.default_rng(100 * groups + 10 * k + length)
+        x = rng.standard_normal((2, WINDOW_C, length)).astype(dtype)
+        w = rng.standard_normal((WINDOW_C, WINDOW_C // groups, k)).astype(dtype)
+        dy = rng.standard_normal((2, WINDOW_C, length)).astype(dtype)
+        inputs = [a.copy() for a in (x, w, dy)]
+
+        def run():
+            return (K.conv1d_grouped(x, w, groups=groups),
+                    *K.conv1d_grouped_backward(dy, x, w, groups=groups, with_bias=True))
+
+        got = run()
+        assert_bitwise((x, w, dy), inputs)
+        monkeypatch.setattr(K, "_group_columns", reference_group_columns)
+        assert_bitwise(got, run())
+
+    def test_window_view_is_read_only(self, groups, k, length, dtype):
+        x = rand((2, WINDOW_C, length), 101).astype(dtype)
+        before = x.copy()
+        cols = K._group_columns(x, groups, k)
+        ref = reference_group_columns(x, groups, k)
+        assert_bitwise((cols,), (ref,))
+        assert cols.strides == ref.strides
+        # a view of the padded strip wherever the reference is one, and then read-only
+        assert cols.flags.writeable == ref.flags.writeable
+        if groups == WINDOW_C or k == 1:
+            assert not cols.flags.writeable
+        if not cols.flags.writeable:
+            with pytest.raises(ValueError):
+                cols[...] = 0.0
+        assert_bitwise((x,), (before,))
