@@ -4,25 +4,35 @@ Exit codes: 0 success, 1 check failure, 2 usage/parse error, 3 numeric
 divergence. Commands return 0 or 1 and raise on bad input; `main` alone
 turns an error into its exit code and one `error:` line. All file outputs
 are written atomically (temp file + rename).
-ELA_THREADS caps the worker threads used by the numeric backend.
 """
 
 import argparse
 import json
 import os
 import sys
+import time
+
+import numpy as np
+
+from elakit.accounting import PlacementSpec, audit_network
+from elakit.gradcheck import check_module_gradients
+from elakit.modules import MODULE_CHOICES, build_attention
+from elakit.params import atomic_write_files, atomic_write_text
+from elakit.toy import (
+    DivergenceError,
+    MiniCnn,
+    evaluate,
+    gradcam,
+    history_csv,
+    make_toy_batch,
+    train_toy,
+    write_pgm,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("ELA_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _parse_shape(text):
@@ -33,8 +43,6 @@ def _parse_shape(text):
 
 
 def build_parser():
-    from elakit.modules import MODULE_CHOICES
-
     parser = argparse.ArgumentParser(
         prog="elakit",
         description="Directional attention kernels: audits, gradient checks, "
@@ -78,9 +86,6 @@ def build_parser():
 
 
 def cmd_audit(args):
-    from elakit.accounting import PlacementSpec, audit_network
-    from elakit.params import atomic_write_files
-
     report = audit_network(PlacementSpec.from_json_file(args.config))
     outputs = {args.out: report.to_csv().encode("utf-8")}
     if args.json_out:
@@ -103,20 +108,11 @@ def cmd_audit(args):
 
 
 def cmd_gradcheck(args):
-    import numpy as np
-
-    from elakit.gradcheck import check_module_gradients
-    from elakit.modules import build_attention
-
     n, c, h, w = args.shape
     module = build_attention(args.module, c, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     x = rng.standard_normal((n, c, h, w))
     errors = check_module_gradients(module, x, direction_seed=args.seed + 2)
-    if os.environ.get("ELAKIT_CORRUPT_BACKWARD"):
-        # negative-control hook for exit-code testing
-        first = next(iter(errors))
-        errors[first] = errors[first] + 1.0
     width = max(len(k) for k in errors)
     ok = True
     for name, err in errors.items():
@@ -128,13 +124,6 @@ def cmd_gradcheck(args):
 
 
 def cmd_bench(args):
-    import time
-
-    import numpy as np
-
-    from elakit.modules import build_attention
-    from elakit.params import atomic_write_text
-
     if args.reps < 10:
         raise ValueError("--reps must be >= 10")
     n, c, h, w = args.shape
@@ -168,9 +157,6 @@ def cmd_bench(args):
 
 
 def cmd_train_toy(args):
-    from elakit.params import atomic_write_text
-    from elakit.toy import evaluate, history_csv, train_toy
-
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
     model, state, data = train_toy(
@@ -192,8 +178,6 @@ def cmd_train_toy(args):
 
 
 def cmd_gradcam(args):
-    from elakit.toy import MiniCnn, gradcam, make_toy_batch, write_pgm
-
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     model = MiniCnn.load(args.model)
@@ -216,10 +200,7 @@ COMMANDS = {
 
 
 def main(argv=None):
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
-    from elakit.toy import DivergenceError  # after the thread cap: imports numpy
-
     try:
         return COMMANDS[args.command](args)
     except DivergenceError as exc:

@@ -6,6 +6,8 @@ scalar loss sum(y * R) exercises every output entry; analytic gradients then
 come from backward(R).
 """
 
+import copy
+
 import numpy as np
 
 DEFAULT_STEP = 1e-5
@@ -44,8 +46,11 @@ def check_module_gradients(module, x, direction_seed=0, step=DEFAULT_STEP):
 
     Returns {"input": err, <param name>: err, ...} where each entry is the
     max relative error between the analytic gradient and central differences
-    of loss(x, params) = sum(module.forward(x) * R).
+    of loss(x, params) = sum(module.forward(x) * R). The check runs on a
+    copy, so `module`'s parameters, grads and normalization state are left
+    as they were (train-mode forwards would move BN's running statistics).
     """
+    module = copy.deepcopy(module)
     rng = np.random.default_rng(direction_seed)
     y0, _ = module.forward(x, keep_intermediates=True)
     direction = rng.standard_normal(y0.shape)

@@ -53,9 +53,6 @@ class ParamStore:
     def __contains__(self, name):
         return name in self._entries
 
-    def __len__(self):
-        return len(self._entries)
-
     def names(self):
         return list(self._entries)
 

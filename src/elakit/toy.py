@@ -26,6 +26,8 @@ class DivergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 NUM_CLASSES = 4  # the quadrant labels below
+NOISE_STD = 0.02  # std of the background noise; a blob peaks at 1
+BLOB_SIGMA = 2.0  # the blob's Gaussian sigma, in pixels
 
 
 @dataclass
@@ -40,7 +42,7 @@ def quadrant_of(row, col, size):
     return (2 if row >= half else 0) + (1 if col >= half else 0)
 
 
-def make_toy_batch(n, seed, size=32, noise_std=0.02, blob_sigma=2.0):
+def make_toy_batch(n, seed, size=32):
     """Noise background plus one Gaussian blob centered uniformly inside a
     uniformly chosen quadrant; the label is that quadrant."""
     if n < 1:
@@ -53,9 +55,9 @@ def make_toy_batch(n, seed, size=32, noise_std=0.02, blob_sigma=2.0):
     yy, xx = np.mgrid[0:size, 0:size]
     blobs = np.exp(
         -((yy[None] - rows[:, None, None]) ** 2 + (xx[None] - cols[:, None, None]) ** 2)
-        / (2.0 * blob_sigma**2)
+        / (2.0 * BLOB_SIGMA**2)
     )
-    noise = rng.normal(0.0, noise_std, size=(n, size, size))
+    noise = rng.normal(0.0, NOISE_STD, size=(n, size, size))
     images = np.clip(noise + blobs, 0.0, 1.0)[:, None, :, :]
     return ToyBatch(images, labels, np.stack([rows, cols], axis=1))
 
@@ -196,6 +198,9 @@ class MiniCnn:
             model = cls(cfg, seed=0)
             for name in model.params.names():
                 model.params.set_value(name, store.value(name))
+            for name in store.names():
+                if name not in model.params:
+                    raise ValueError(f"unexpected tensor {name!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a MiniCnn model file: {exc}") from None
         return model

@@ -1,25 +1,21 @@
 """CLI contracts: exit codes, artifact formats, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
 
+from elakit import kernels
 from elakit.cli import main
 
 BUNDLED_ELA = str(resources.files("elakit") / "data" / "resnet18-ela-b.json")
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     return subprocess.run(
-        [sys.executable, "-m", "elakit.cli", *args],
-        capture_output=True, text=True, env=env,
+        [sys.executable, "-m", "elakit.cli", *args], capture_output=True, text=True,
     )
 
 
@@ -92,6 +88,7 @@ def test_malformed_placement_exits_2_with_one_line(tmp_path, placement):
     assert result.returncode == 2
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert str(cfg) in lines[0]
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -106,21 +103,28 @@ def test_site_rejected_by_module_names_the_file_and_the_site(tmp_path):
     assert "C=10" in lines[0]
 
 
+def _replace_header(blob, raw):
+    """The model file `blob` with its JSON header bytes replaced by `raw`."""
+    n = int.from_bytes(blob[8:16], "little")
+    return blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n:]
+
+
 def _edit_header(edit):
     """A defect that rewrites the JSON header of a model file with `edit`."""
     def defect(blob):
         n = int.from_bytes(blob[8:16], "little")
         header = json.loads(blob[16:16 + n])
         edit(header)
-        raw = json.dumps(header).encode()
-        return blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[16 + n:]
+        return _replace_header(blob, json.dumps(header).encode())
     return defect
 
 
 MODEL_DEFECTS = {
     "bad-magic": lambda blob: b"NOTELAKT" + blob[8:],
     "truncated-header": lambda blob: blob[:40],
+    "header-not-an-object": lambda blob: _replace_header(blob, b"[]"),
     "dtype-foo": _edit_header(lambda h: h["tensors"][0].update(dtype="foo")),
+    "shape-not-a-list": _edit_header(lambda h: h["tensors"][0].update(shape="ab")),
     "tensors-not-a-list": _edit_header(lambda h: h.update(tensors=5)),
     "meta-not-an-object": _edit_header(lambda h: h.update(meta=[1])),
     "entry-without-offset": _edit_header(lambda h: h["tensors"][1].pop("offset")),
@@ -130,6 +134,8 @@ MODEL_DEFECTS = {
     "unknown-attention": _edit_header(lambda h: h["meta"].update(attention="bogus")),
     "missing-tensor": _edit_header(lambda h: h["tensors"].pop()),
     "misshapen-tensor": _edit_header(lambda h: h["tensors"][-1].update(shape=[2], nbytes=16)),
+    # a well-formed store holding one tensor more than the model has
+    "extra-tensor": _edit_header(lambda h: h["tensors"].append({**h["tensors"][0], "name": "extra"})),
     # the head is sized from H alone, so H != W would feed it H x H images
     "non-square-input": _edit_header(lambda h: h["meta"].update(input_shape=[1, 8, 4])),
 }
@@ -194,13 +200,12 @@ class TestGradcheck:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_corrupted_backward_exits_1(self):
-        result = run_cli(
-            ["gradcheck", "--module", "se", "--shape", "1,8,3,3", "--seed", "1"],
-            env_extra={"ELAKIT_CORRUPT_BACKWARD": "1"},
-        )
-        assert result.returncode == 1
-        assert "FAIL" in result.stdout
+    def test_corrupted_backward_exits_1(self, monkeypatch, capsys):
+        # a genuinely wrong gradient: sigmoid's backward without its (1 - s) factor
+        monkeypatch.setattr(kernels, "sigmoid_backward", lambda dy, s: dy * s)
+        code = main(["gradcheck", "--module", "se", "--shape", "1,8,3,3", "--seed", "1"])
+        assert code == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_precondition_error_before_compute(self, capsys):
         # ela-s needs C divisible by 8

@@ -310,6 +310,19 @@ class TestGradients:
         worst = max(errors.values())
         assert worst < 1e-5, f"{kind}: {errors}"
 
+    def test_check_leaves_the_block_as_it_found_it(self):
+        # every finite-difference forward of a train-mode BN moves its running stats
+        x = rand((2, 16, 5, 7), 18)
+        module = build_attention("ca", 16, seed=19)
+        module.forward(x)
+        state = module.norm_state
+        before = [state.running_mean.tobytes(), state.running_var.tobytes()]
+        before += [module.params.value(name).tobytes() for name in module.params.names()]
+        check_module_gradients(module, x, direction_seed=20)
+        after = [state.running_mean.tobytes(), state.running_var.tobytes()]
+        after += [module.params.value(name).tobytes() for name in module.params.names()]
+        assert after == before
+
     def test_zero_dy_gives_zero_grads(self):
         x = rand((1, 16, 3, 4), 21)
         m = build_attention("ela-b", 16, seed=0)
