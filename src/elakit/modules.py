@@ -191,6 +191,11 @@ class _Block:
     def _resolve(self):
         pass
 
+    @property
+    def couples_samples(self):
+        """Whether one sample's output depends on other samples of the batch."""
+        return False
+
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("backward requires forward(keep_intermediates=True)")
@@ -317,6 +322,11 @@ class CoordinateAttention(_DirectionalBlock):
         else:
             self.norm_state = None
             self.gn_groups = self.cfg.resolve_gn_groups(self.channels)
+
+    @property
+    def couples_samples(self):
+        # train-mode BN normalizes with the statistics of the whole batch
+        return self.norm_state is not None and self.norm_state.mode == "train"
 
     def init_params(self, seed):
         rng = np.random.default_rng(seed)

@@ -1,0 +1,94 @@
+"""The module input check's stacked finite differences: same values as
+fd_gradient, one copy per forward where samples couple, bounded chunks."""
+
+import numpy as np
+import pytest
+
+from elakit import gradcheck
+from elakit.gradcheck import _input_fd, check_module_gradients, fd_gradient
+from elakit.modules import MODULE_CHOICES, CoordinateAttention, build_attention
+
+SHAPE = (2, 16, 5, 7)
+
+
+def rand(shape, seed=0):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def record_batches(monkeypatch, module):
+    """Batch sizes of every forward of `module`'s class from now on."""
+    batches = []
+    cls = type(module)
+    forward = cls.forward
+
+    def recording(self, x, keep_intermediates=False):
+        batches.append(x.shape[0])
+        return forward(self, x, keep_intermediates)
+
+    monkeypatch.setattr(cls, "forward", recording)
+    return batches
+
+
+@pytest.mark.parametrize("kind", MODULE_CHOICES)
+def test_stacked_input_fd_matches_fd_gradient(kind):
+    x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
+    module = build_attention(kind, SHAPE[1], seed=3)
+
+    def loss(v):
+        y, _ = module.forward(v)
+        return float(np.add.reduce(y * direction, axis=None))
+
+    np.testing.assert_allclose(
+        _input_fd(module, x, direction), fd_gradient(loss, x), rtol=1e-12, atol=0.0
+    )
+
+
+def test_coupling_is_declared_by_the_block():
+    assert build_attention("ca", 16).couples_samples
+    assert not build_attention("ca-gn", 16).couples_samples
+    eval_bn = build_attention("ca", 16)
+    eval_bn.norm_state.mode = "eval"
+    assert not eval_bn.couples_samples
+    assert not any(build_attention(k, 16).couples_samples for k in MODULE_CHOICES if k != "ca")
+
+
+def test_stacking_a_coupled_block_breaks_its_input_check(monkeypatch):
+    # negative control: train-mode BN fed stacked copies normalizes over all
+    # of them, so the finite differences no longer match backward
+    x = rand(SHAPE, 1)
+    module = build_attention("ca", SHAPE[1], seed=3)
+    assert check_module_gradients(module, x, direction_seed=2)["input"] < 1e-5
+    monkeypatch.setattr(CoordinateAttention, "couples_samples", False)
+    assert check_module_gradients(module, x, direction_seed=2)["input"] > 1e-5
+
+
+@pytest.mark.parametrize("kind", ["se", "ela-b", "ca-gn"])
+def test_stacked_batches_stay_within_the_budget(monkeypatch, kind):
+    x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
+    module = build_attention(kind, SHAPE[1], seed=3)
+    batches = record_batches(monkeypatch, module)
+    _input_fd(module, x, direction)
+    per_sample = x.size // x.shape[0]
+    assert max(batches) > x.shape[0]
+    assert max(batches) * per_sample <= gradcheck._STACK_ELEMENTS
+    assert all(b % x.shape[0] == 0 for b in batches)
+    assert sum(batches) // x.shape[0] == 2 * x.size  # every point evaluated once
+
+
+def test_coupled_block_runs_one_copy_per_forward(monkeypatch):
+    x = rand(SHAPE, 1)
+    module = build_attention("ca", SHAPE[1], seed=3)
+    batches = record_batches(monkeypatch, module)
+    check_module_gradients(module, x, direction_seed=2)
+    assert set(batches) == {x.shape[0]}
+    assert len(batches) == 1 + 2 * (x.size + module.params.total_params())
+
+
+def test_input_larger_than_the_budget_runs_one_copy_per_forward(monkeypatch):
+    x = rand((1, 8, 35, 35), 1)
+    assert x.size > gradcheck._STACK_ELEMENTS
+    direction = rand(x.shape, 2)
+    module = build_attention("eca", x.shape[1], seed=3)
+    batches = record_batches(monkeypatch, module)
+    _input_fd(module, x, direction)
+    assert batches == [x.shape[0]] * (2 * x.size)
