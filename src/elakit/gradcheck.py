@@ -105,12 +105,12 @@ def check_module_gradients(module, x, direction_seed=0, step=DEFAULT_STEP):
     for name in module.params.names():
         value = module.params.value(name)
 
-        def loss_of_param(v, _name=name, _orig=value):
+        def loss_of_param(v, _name=name):
             module.params.set_value(_name, v)
-            out = loss_of_input(x)
-            module.params.set_value(_name, _orig)
-            return out
+            return loss_of_input(x)
 
-        numeric = fd_gradient(loss_of_param, value.copy(), step)
+        # fd_gradient perturbs its own copy, so `value` is intact to restore
+        numeric = fd_gradient(loss_of_param, value, step)
+        module.params.set_value(name, value)
         errors[name] = max_rel_error(module.params.grad(name), numeric)
     return errors

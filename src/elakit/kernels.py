@@ -359,23 +359,6 @@ def broadcast_mul_hw_backward(dy, x, ah, aw):
     return dx, dah, daw
 
 
-def concat_spatial(zh, zw):
-    """Concatenate (N,C,H) and (N,C,W) along L into (N,C,H+W)."""
-    check_ncl(zh)
-    check_ncl(zw)
-    if zh.shape[:2] != zw.shape[:2]:
-        raise ShapeError(f"batch/channel mismatch: {zh.shape} vs {zw.shape}")
-    return np.concatenate([zh, zw], axis=2)
-
-
-def split_spatial(f, first_len):
-    """Inverse of concat_spatial: split (N,C,H+W) at first_len."""
-    check_ncl(f)
-    if not 0 < first_len < f.shape[2]:
-        raise ShapeError(f"split index {first_len} out of range for L={f.shape[2]}")
-    return f[:, :, :first_len].copy(), f[:, :, first_len:].copy()
-
-
 # ---------------------------------------------------------------------------
 # 2D kernels for the toy CNN (invented plumbing, same conventions)
 # ---------------------------------------------------------------------------

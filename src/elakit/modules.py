@@ -105,18 +105,27 @@ ELA_PRESETS = {
 
 
 @dataclass(frozen=True)
-class CaConfig:
+class _BottleneckConfig:
+    """The C -> mip channel bottleneck that CA and SE share."""
+
     reduction_r: int = 32
-    norm_flavor: str = "bn"  # bn | gn
 
     def __post_init__(self):
         if self.reduction_r < 1:
             raise ValueError("reduction_r must be positive")
-        if self.norm_flavor not in ("bn", "gn"):
-            raise ValueError(f"unknown norm_flavor {self.norm_flavor!r}")
 
     def intermediate_channels(self, channels):
         return max(8, int(round(channels / self.reduction_r)))
+
+
+@dataclass(frozen=True)
+class CaConfig(_BottleneckConfig):
+    norm_flavor: str = "bn"  # bn | gn
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.norm_flavor not in ("bn", "gn"):
+            raise ValueError(f"unknown norm_flavor {self.norm_flavor!r}")
 
     def resolve_gn_groups(self, channels):
         # groups for the GN flavor over the mip-channel bottleneck; gcd with
@@ -136,12 +145,7 @@ class CaConfig:
 
 
 @dataclass(frozen=True)
-class SeConfig:
-    reduction_r: int = 32
-
-    def intermediate_channels(self, channels):
-        return max(8, int(round(channels / self.reduction_r)))
-
+class SeConfig(_BottleneckConfig):
     def param_count(self, c):
         return 2 * c * self.intermediate_channels(c)
 
@@ -351,11 +355,12 @@ class CoordinateAttention(_DirectionalBlock):
 
     def _logits(self, zh, zw):
         p = self.params
-        f_in = K.concat_spatial(zh, zw)
+        f_in = np.concatenate((zh, zw), axis=2)
         u = K.conv2d_1x1(f_in, p.value("f1.weight"))
         nu, norm_cache = self._norm(u)
         v = K.hard_swish(nu)
-        fh, fw = K.split_spatial(v, zh.shape[2])
+        h = zh.shape[2]
+        fh, fw = v[:, :, :h], v[:, :, h:]
         lh = K.conv2d_1x1(fh, p.value("fh.weight"), p.value("fh.bias"))
         lw = K.conv2d_1x1(fw, p.value("fw.weight"), p.value("fw.bias"))
         return lh, lw, (f_in, u, nu, norm_cache, fh, fw)

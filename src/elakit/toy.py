@@ -91,7 +91,9 @@ class MiniCnn:
     over the flattened final map. Explicit forward/backward; no tape.
 
     `params` holds all model state: each attention block's store is adopted
-    as `stage{i}.attn.<name>`, its entries shared rather than copied."""
+    as `stage{i}.attn.<name>`, its entries shared rather than copied.
+    `backward` returns, per stage, the post-attention map that Grad-CAM
+    weighs and the gradient of the loss with respect to it."""
 
     def __init__(self, cfg=None, seed=0):
         self.cfg = cfg or MiniCnnConfig()
@@ -128,15 +130,12 @@ class MiniCnn:
             "input_shape": list(self.cfg.input_shape),
         }
         self._cache = None
-        self.stage_activations = None  # post-attention, pre-relu, per stage
-        self.stage_activation_grads = None
 
     def zero_grads(self):
         self.params.zero_grads()
 
     def forward(self, x, keep_intermediates=False):
         cache = []
-        self.stage_activations = []
         h = x
         for i in range(len(self.cfg.stage_channels)):
             conv = f"stage{i}.block0.conv."
@@ -145,12 +144,10 @@ class MiniCnn:
             h = K.conv2d_same(h, w, b)
             if self.attn[i] is not None:
                 h, _ = self.attn[i].forward(h, keep_intermediates=keep_intermediates)
-            self.stage_activations.append(h)
-            pre_relu = h
+            act = h  # post-attention, pre-relu
             h = K.relu(h)
-            pooled_from = h.shape
             h = K.avg_pool_2x2(h)
-            cache.append((x_in, pre_relu, pooled_from))
+            cache.append((x_in, act))
         feat = h.reshape(h.shape[0], -1)
         logits = feat @ self.params.value("head.weight").T + self.params.value("head.bias")
         if keep_intermediates:
@@ -161,17 +158,17 @@ class MiniCnn:
         if self._cache is None:
             raise RuntimeError("backward requires forward(keep_intermediates=True)")
         cache, last_shape, feat = self._cache
-        self.stage_activation_grads = [None] * len(cache)
+        pairs = [None] * len(cache)
         w_head = self.params.value("head.weight")
         self.params.accumulate_grad("head.weight", dlogits.T @ feat)
         self.params.accumulate_grad("head.bias", dlogits.sum(axis=0))
         dfeat = dlogits @ w_head
         dh = dfeat.reshape(last_shape)
         for i in reversed(range(len(cache))):
-            x_in, pre_relu, pooled_from = cache[i]
-            dh = K.avg_pool_2x2_backward(dh, pooled_from)
-            dh = K.relu_backward(dh, pre_relu)
-            self.stage_activation_grads[i] = dh
+            x_in, act = cache[i]
+            dh = K.avg_pool_2x2_backward(dh, act.shape)
+            dh = K.relu_backward(dh, act)
+            pairs[i] = (act, dh)
             if self.attn[i] is not None:
                 dh = self.attn[i].backward(dh)
             conv = f"stage{i}.block0.conv."
@@ -180,7 +177,7 @@ class MiniCnn:
             )
             self.params.accumulate_grad(conv + "weight", dw)
             self.params.accumulate_grad(conv + "bias", db)
-        return dh
+        return pairs
 
     def save(self, path):
         self.params.save(path)
@@ -337,9 +334,7 @@ def gradcam(model, x, class_indices, target_stage=-1):
     dlogits = np.zeros_like(logits)
     dlogits[np.arange(n), class_indices] = 1.0
     model.zero_grads()
-    model.backward(dlogits)
-    act = model.stage_activations[stage]
-    grad = model.stage_activation_grads[stage]
+    act, grad = model.backward(dlogits)[stage]
     weights = grad.mean(axis=(2, 3))  # (N, C)
     cam = np.maximum((weights[:, :, None, None] * act).sum(axis=1), 0.0)
     cam = bilinear_upsample(cam, x.shape[2], x.shape[3])

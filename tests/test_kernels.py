@@ -548,25 +548,6 @@ class TestBroadcastMulHw:
             K.broadcast_mul_hw(rand((1, 2, 3, 4)), rand((1, 2, 4)), rand((1, 2, 4)))
 
 
-class TestConcatSplit:
-    def test_round_trip_bit_exact(self):
-        a, b = rand((2, 3, 4), 40), rand((2, 3, 5), 41)
-        f = K.concat_spatial(a, b)
-        ra, rb = K.split_spatial(f, 4)
-        assert np.array_equal(ra, a) and np.array_equal(rb, b)
-
-    def test_values(self):
-        a = np.array([[[1.0, 2.0]]])
-        b = np.array([[[3.0]]])
-        assert np.array_equal(K.concat_spatial(a, b), [[[1.0, 2.0, 3.0]]])
-
-    def test_errors(self):
-        with pytest.raises(K.ShapeError):
-            K.concat_spatial(rand((1, 2, 3)), rand((1, 3, 3)))
-        with pytest.raises(K.ShapeError):
-            K.split_spatial(rand((1, 2, 3)), 3)
-
-
 class TestGlobalAvgPool:
     def test_mean_oracle(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)

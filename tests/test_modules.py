@@ -68,6 +68,12 @@ class TestConfigs:
         assert CaConfig(reduction_r=32).intermediate_channels(512) == 16
         assert SeConfig(reduction_r=32).intermediate_channels(512) == 16
 
+    @pytest.mark.parametrize("config", [CaConfig, SeConfig])
+    @pytest.mark.parametrize("reduction_r", [0, -4])
+    def test_non_positive_reduction_rejected(self, config, reduction_r):
+        with pytest.raises(ValueError, match="reduction_r"):
+            config(reduction_r=reduction_r)
+
     def test_eca_even_kernel_rejected(self):
         with pytest.raises(ValueError):
             EcaConfig(kernel_size=4)

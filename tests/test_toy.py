@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from elakit import kernels as K
 from elakit.gradcheck import fd_gradient, max_rel_error
 from elakit.params import ParamStore
 from elakit.toy import (
@@ -255,6 +256,47 @@ class TestGradCam:
         maps_b = gradcam(model, x, labels)
         for a, b in zip(maps_a, maps_b):
             assert a.argmax() == b.argmax()
+
+    @pytest.mark.parametrize("attention", ["ca", "ela-b"])
+    def test_stage_gradients_match_finite_differences(self, attention, monkeypatch):
+        # backward's (act, grad) pairs are what Grad-CAM weighs: act must be
+        # the map relu receives, grad the class score's gradient at it
+        cfg = MiniCnnConfig(stage_channels=(4, 6), attention=attention, input_shape=(1, 8, 8))
+        model = MiniCnn(cfg, seed=21)
+        batch = make_toy_batch(2, seed=22, size=8)
+        x, labels = batch.images, batch.labels
+        relu_inputs = []
+        real_relu = K.relu
+        monkeypatch.setattr(K, "relu", lambda h: relu_inputs.append(h) or real_relu(h))
+        logits = model.forward(x, keep_intermediates=True)
+        dlogits = np.zeros_like(logits)
+        dlogits[np.arange(len(labels)), labels] = 1.0
+        model.zero_grads()
+        pairs = model.backward(dlogits)
+
+        def score_with(stage, index, delta):
+            calls = iter(range(len(cfg.stage_channels)))
+
+            def relu(h):
+                if next(calls) == stage:
+                    h = h.copy()
+                    h[index] += delta
+                return real_relu(h)
+
+            monkeypatch.setattr(K, "relu", relu)
+            return model.forward(x)[np.arange(len(labels)), labels].sum()
+
+        step = 1e-6
+        for stage, (act, grad) in enumerate(pairs):
+            assert np.array_equal(act, relu_inputs[stage])
+            # a difference that straddles relu's kink measures neither side
+            smooth = np.abs(act) > step
+            assert smooth.mean() > 0.9
+            numeric = np.zeros_like(act)
+            for index in zip(*np.nonzero(smooth)):
+                up, down = score_with(stage, index, step), score_with(stage, index, -step)
+                numeric[index] = (up - down) / (2.0 * step)
+            assert max_rel_error(grad[smooth], numeric[smooth]) < 1e-6
 
     def test_pgm_output(self, tmp_path):
         heat = np.linspace(0, 1, 32 * 32).reshape(32, 32)
