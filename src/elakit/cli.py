@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from elakit.accounting import PlacementSpec, audit_network
-from elakit.gradcheck import check_module_gradients
+from elakit.gradcheck import DEFAULT_TOL, check_module_gradients
 from elakit.modules import MODULE_CHOICES, build_attention
 from elakit.params import atomic_write_files, atomic_write_text
 from elakit.toy import (
@@ -59,7 +59,7 @@ def build_parser():
     p_gc.add_argument("--module", required=True, type=str.lower, choices=MODULE_CHOICES)
     p_gc.add_argument("--shape", type=_parse_shape, default=(2, 16, 5, 7), metavar="N,C,H,W")
     p_gc.add_argument("--seed", type=int, default=0)
-    p_gc.add_argument("--tol", type=float, default=1e-5)
+    p_gc.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p_bench = sub.add_parser("bench", help="forward/backward wall-time statistics")
     p_bench.add_argument("--module", required=True, type=str.lower, choices=MODULE_CHOICES)
@@ -70,7 +70,8 @@ def build_parser():
     p_bench.add_argument("--out", required=True, help="output CSV path")
 
     p_train = sub.add_parser("train-toy", help="train the mini CNN on the quadrant task")
-    p_train.add_argument("--attention", default="ela-b", help="module kind or 'none'")
+    p_train.add_argument("--attention", type=str.lower, default="ela-b",
+                         help="module kind or 'none'")
     p_train.add_argument("--steps", type=int, default=500)
     p_train.add_argument("--seed", type=int, default=7)
     p_train.add_argument("--lr", type=float, default=0.05)

@@ -5,14 +5,12 @@ Module-level checks project the output onto a fixed random direction R so a
 scalar loss sum(y * R) exercises every output entry; analytic gradients then
 come from backward(R).
 
-The module input check evaluates its 2 * x.size central-difference points in
-chunks. Each chunk stacks m perturbed copies of x on the batch axis, runs one
-forward, and reads one loss per copy from that copy's slice of the output.
-Values and losses are formed as fd_gradient forms them, so the result is
-bitwise the same. A chunk holds at most _STACK_ELEMENTS input elements, and
-m is 1 when x alone is larger or when the block's `couples_samples` is true
-(BN in train mode normalizes over the batch): each perturbed x then runs
-alone, at batch N, through the same loop.
+One loop forms every central-difference point, for fd_gradient and for the
+module checks alike, and evaluates the points in chunks of stacked rows. The
+module input check stacks several perturbed copies of x on the batch axis per
+forward and reads one loss per copy. A chunk holds at most _STACK_ELEMENTS
+input elements, and one copy when x alone is larger or when the block's
+`couples_samples` is true (BN in train mode normalizes over the batch).
 """
 
 import copy
@@ -29,20 +27,33 @@ REL_FLOOR = 1e-3
 _STACK_ELEMENTS = 8 * 2 * 16 * 5 * 7
 
 
+def _central_differences(losses, x, copies, step):
+    """Central differences of a scalar loss with respect to x.
+
+    Point p moves element p // 2 up by `step` for even p and down for odd p.
+    `losses` maps an (m, x.size) stack of points, m <= copies, to their m
+    losses.
+    """
+    flat = x.reshape(-1)
+    values = np.stack([flat + step, flat - step], axis=1).reshape(-1)
+    points = np.arange(values.size)
+    # point p sits in row p % copies of its chunk: its flat index in `stacked`
+    targets = points % copies * flat.size + points // 2
+    out = np.empty(values.size)
+    stacked = np.empty((copies, flat.size))
+    for start in range(0, values.size, copies):
+        chunk = slice(start, start + copies)
+        m = values[chunk].size
+        stacked[:m] = flat
+        stacked.reshape(-1)[targets[chunk]] = values[chunk]
+        out[chunk] = losses(stacked[:m])
+    return ((out[0::2] - out[1::2]) / (2.0 * step)).reshape(x.shape)
+
+
 def fd_gradient(f, x, step=DEFAULT_STEP):
     """Central-difference gradient of scalar-valued f with respect to x."""
-    x = np.array(x, dtype=float)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = f(x)
-        flat[i] = orig - step
-        fm = f(x)
-        flat[i] = orig
-        grad.reshape(-1)[i] = (fp - fm) / (2.0 * step)
-    return grad
+    x = np.asarray(x, dtype=float)
+    return _central_differences(lambda row: f(row.reshape(x.shape)), x, 1, step)
 
 
 def max_rel_error(analytic, numeric):
@@ -53,28 +64,22 @@ def max_rel_error(analytic, numeric):
     return float(np.max(np.abs(a - n) / denom))
 
 
+def _projected_losses(module, batch, direction):
+    """sum(y * direction) for each copy of x stacked on the batch axis of `batch`."""
+    y, _ = module.forward(batch)
+    return np.add.reduce(y.reshape(-1, direction.size) * direction.reshape(-1), axis=1)
+
+
 def _input_fd(module, x, direction, step=DEFAULT_STEP):
     """fd_gradient of sum(module.forward(x) * direction) with respect to x,
     evaluated on chunks of perturbed copies of x stacked on the batch axis."""
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    copies = 1 if module.couples_samples else max(1, _STACK_ELEMENTS // flat.size)
-    # point p perturbs element p // 2: upward for even p, downward for odd p
-    values = np.stack([flat + step, flat - step], axis=1).reshape(-1)
-    elements = np.arange(values.size) // 2
-    weights = direction.reshape(-1)
-    losses = np.empty(values.size)
-    stacked = np.empty((copies, flat.size))
-    rows = np.arange(copies)
-    for start in range(0, values.size, copies):
-        chunk = slice(start, start + copies)
-        m = values[chunk].size
-        stacked[:m] = flat
-        stacked[rows[:m], elements[chunk]] = values[chunk]
-        y, _ = module.forward(stacked[:m].reshape((-1,) + x.shape[1:]))
-        # one loss per copy: the sum over that copy's slice, as loss_of_input sums
-        losses[chunk] = np.add.reduce(y.reshape(m, -1) * weights, axis=1)
-    return ((losses[0::2] - losses[1::2]) / (2.0 * step)).reshape(x.shape)
+    copies = 1 if module.couples_samples else max(1, _STACK_ELEMENTS // x.size)
+    batch_shape = (-1,) + x.shape[1:]
+    return _central_differences(
+        lambda rows: _projected_losses(module, rows.reshape(batch_shape), direction),
+        x, copies, step,
+    )
 
 
 def check_module_gradients(module, x, direction_seed=0, step=DEFAULT_STEP):
@@ -94,22 +99,14 @@ def check_module_gradients(module, x, direction_seed=0, step=DEFAULT_STEP):
     module.params.zero_grads()
     dx = module.backward(direction.copy())
 
-    errors = {}
-
-    def loss_of_input(xv):
-        y, _ = module.forward(xv)
-        return float(np.add.reduce(y * direction, axis=None))  # np.sum, minus its wrapper
-
-    errors["input"] = max_rel_error(dx, _input_fd(module, x, direction, step))
-
+    errors = {"input": max_rel_error(dx, _input_fd(module, x, direction, step))}
     for name in module.params.names():
         value = module.params.value(name)
 
         def loss_of_param(v, _name=name):
             module.params.set_value(_name, v)
-            return loss_of_input(x)
+            return _projected_losses(module, x, direction)
 
-        # fd_gradient perturbs its own copy, so `value` is intact to restore
         numeric = fd_gradient(loss_of_param, value, step)
         module.params.set_value(name, value)
         errors[name] = max_rel_error(module.params.grad(name), numeric)

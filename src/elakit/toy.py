@@ -38,7 +38,7 @@ class ToyBatch:
 
 
 def quadrant_of(row, col, size):
-    half = size / 2.0
+    half = size // 2  # where make_toy_batch splits its quadrants
     return (2 if row >= half else 0) + (1 if col >= half else 0)
 
 
@@ -78,11 +78,11 @@ class MiniCnnConfig:
             all(isinstance(d, (int, np.integer)) and d > 0 for d in dims)
             and len(self.input_shape) == 3
             and self.input_shape[1] == self.input_shape[2]  # the head is sized from H
-            and self.input_shape[1] >= 2 ** len(self.stage_channels)
+            and self.input_shape[1] % 2 ** len(self.stage_channels) == 0  # each stage halves H
         ):
             raise ValueError(
                 f"stage_channels {self.stage_channels!r} and input_shape (C, H, W) "
-                f"{self.input_shape!r} need positive ints, H == W and H >= 2**stages"
+                f"{self.input_shape!r} need positive ints, H == W and H divisible by 2**stages"
             )
 
 

@@ -138,6 +138,8 @@ MODEL_DEFECTS = {
     "extra-tensor": _edit_header(lambda h: h["tensors"].append({**h["tensors"][0], "name": "extra"})),
     # the head is sized from H alone, so H != W would feed it H x H images
     "non-square-input": _edit_header(lambda h: h["meta"].update(input_shape=[1, 8, 4])),
+    # the stage's 2x2 pool needs an even H; the head's tensor shapes still fit
+    "input-not-divisible": _edit_header(lambda h: h["meta"].update(input_shape=[1, 9, 9])),
 }
 
 
@@ -287,6 +289,16 @@ class TestTrainAndCam:
             blob = p.read_bytes()
             assert blob.startswith(b"P5\n32 32\n255\n")
             assert len(blob.split(b"255\n", 1)[1]) == 32 * 32
+
+    @pytest.mark.parametrize("attention", ["NONE", "Ela-B"])
+    def test_attention_name_ignores_case(self, tmp_path, attention):
+        from elakit.toy import MiniCnn
+
+        out = tmp_path / "run"
+        assert main(["train-toy", "--attention", attention, "--steps", "1",
+                     "--out", str(out)]) == 0
+        meta = MiniCnn.load(out / "model.elak").params.meta
+        assert meta["attention"] == (None if attention == "NONE" else "ela-b")
 
     @pytest.mark.parametrize("attention, steps", [("none", "-1"), ("bogus", "1")],
                              ids=["negative-steps", "bogus-attention"])

@@ -1,10 +1,12 @@
-"""The module input check's stacked finite differences: same values as
-fd_gradient, one copy per forward where samples couple, bounded chunks."""
+"""Central differences: fd_gradient matches a per-element reference loop
+bitwise, and the module input check's stacked evaluation matches fd_gradient
+bitwise, with one copy per forward where samples couple and bounded chunks."""
 
 import numpy as np
 import pytest
 
 from elakit import gradcheck
+from elakit import kernels as K
 from elakit.gradcheck import _input_fd, check_module_gradients, fd_gradient
 from elakit.modules import MODULE_CHOICES, CoordinateAttention, build_attention
 
@@ -13,6 +15,29 @@ SHAPE = (2, 16, 5, 7)
 
 def rand(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def reference_fd_gradient(f, x, step=gradcheck.DEFAULT_STEP):
+    """Central differences one element at a time, on a perturbed copy of x."""
+    x = np.array(x, dtype=float)
+    grad = np.zeros_like(x)
+    flat = x.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        fp = f(x)
+        flat[i] = orig - step
+        fm = f(x)
+        flat[i] = orig
+        grad.reshape(-1)[i] = (fp - fm) / (2.0 * step)
+    return grad
+
+
+def projected_loss(module, direction):
+    def loss(v):
+        y, _ = module.forward(v)
+        return float(np.add.reduce(y * direction, axis=None))
+    return loss
 
 
 def record_batches(monkeypatch, module):
@@ -29,17 +54,35 @@ def record_batches(monkeypatch, module):
     return batches
 
 
+def test_fd_gradient_matches_the_reference_on_a_kernel_loss():
+    x, dz = rand((2, 3, 4, 5), 1), rand((2, 3, 4), 2)
+
+    def loss(v):
+        return float(np.sum(K.strip_pool_h(v) * dz))
+
+    np.testing.assert_array_equal(fd_gradient(loss, x), reference_fd_gradient(loss, x))
+
+
+@pytest.mark.parametrize("kind", ["ela-b", "ca"])
+def test_fd_gradient_matches_the_reference_on_a_module_loss(kind):
+    x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
+    loss = projected_loss(build_attention(kind, SHAPE[1], seed=3), direction)
+    np.testing.assert_array_equal(fd_gradient(loss, x), reference_fd_gradient(loss, x))
+
+
+def test_fd_gradient_leaves_its_argument_unchanged():
+    x = rand((3, 4), 1)
+    before = x.copy()
+    fd_gradient(lambda v: float(np.sum(np.sin(v))), x)
+    np.testing.assert_array_equal(x, before)
+
+
 @pytest.mark.parametrize("kind", MODULE_CHOICES)
 def test_stacked_input_fd_matches_fd_gradient(kind):
     x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
     module = build_attention(kind, SHAPE[1], seed=3)
-
-    def loss(v):
-        y, _ = module.forward(v)
-        return float(np.add.reduce(y * direction, axis=None))
-
-    np.testing.assert_allclose(
-        _input_fd(module, x, direction), fd_gradient(loss, x), rtol=1e-12, atol=0.0
+    np.testing.assert_array_equal(
+        _input_fd(module, x, direction), fd_gradient(projected_loss(module, direction), x)
     )
 
 

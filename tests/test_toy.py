@@ -44,6 +44,11 @@ class TestToyBatch:
         for img_label, (row, col) in zip(batch.labels, batch.centers):
             assert img_label == quadrant_of(row, col, 32)
 
+    def test_quadrant_labeling_at_odd_size(self):
+        # make_toy_batch splits at size // 2, so quadrant_of must too
+        batch = make_toy_batch(200, seed=0, size=33)
+        assert [quadrant_of(row, col, 33) for row, col in batch.centers] == batch.labels.tolist()
+
     def test_blob_peak_near_center(self):
         batch = make_toy_batch(8, seed=6)
         for img, (row, col) in zip(batch.images[:, 0], batch.centers):
@@ -96,6 +101,12 @@ class TestMiniCnn:
         # the head is sized from H alone
         with pytest.raises(ValueError, match="H == W"):
             MiniCnnConfig(stage_channels=(4,), input_shape=input_shape)
+
+    @pytest.mark.parametrize("side", [9, 12])
+    def test_config_rejects_input_that_stages_cannot_halve(self, side):
+        # 12 >= 2**3, but the third 2x2 pool would meet a 3x3 map
+        with pytest.raises(ValueError, match="divisible by 2\\*\\*stages"):
+            MiniCnnConfig(stage_channels=(4, 4, 4), input_shape=(1, side, side))
 
     def test_full_model_gradient_check(self):
         model = self.tiny_model()
