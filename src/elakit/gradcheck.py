@@ -6,11 +6,14 @@ scalar loss sum(y * R) exercises every output entry; analytic gradients then
 come from backward(R).
 
 One loop forms every central-difference point, for fd_gradient and for the
-module checks alike, and evaluates the points in chunks of stacked rows. The
-module input check stacks several perturbed copies of x on the batch axis per
-forward and reads one loss per copy. A chunk holds at most _STACK_ELEMENTS
-input elements, and one copy when x alone is larger or when the block's
-`couples_samples` is true (BN in train mode normalizes over the batch).
+module checks alike, and evaluates the points in chunks of stacked rows. Both
+module checks stack several copies of x on the batch axis per forward and read
+one loss per copy: the input check perturbs each copy of x, and a parameter
+check gives each copy its own perturbed parameter, installed as a per-sample
+parameter stack that the forward kernels broadcast against the batch. A chunk
+holds at most _STACK_ELEMENTS input elements, and one copy when x alone is
+larger or when the block's `couples_samples` is true (BN in train mode
+normalizes over the batch).
 """
 
 import copy
@@ -22,8 +25,8 @@ DEFAULT_TOL = 1e-5
 # entries below this magnitude are compared near-absolutely, which keeps
 # finite-difference roundoff noise from registering as relative error
 REL_FLOOR = 1e-3
-# input elements per stacked forward of the module input check: 8 copies of
-# a 2,16,5,7 input; larger inputs run one copy per forward
+# input elements per stacked forward of the module input and parameter
+# checks: 8 copies of a 2,16,5,7 input; larger inputs run one copy per forward
 _STACK_ELEMENTS = 8 * 2 * 16 * 5 * 7
 
 
@@ -70,16 +73,45 @@ def _projected_losses(module, batch, direction):
     return np.add.reduce(y.reshape(-1, direction.size) * direction.reshape(-1), axis=1)
 
 
+def _copies(module, x):
+    """Copies of x per stacked forward of the module checks."""
+    return 1 if module.couples_samples else max(1, _STACK_ELEMENTS // x.size)
+
+
 def _input_fd(module, x, direction, step=DEFAULT_STEP):
     """fd_gradient of sum(module.forward(x) * direction) with respect to x,
     evaluated on chunks of perturbed copies of x stacked on the batch axis."""
     x = np.asarray(x, dtype=float)
-    copies = 1 if module.couples_samples else max(1, _STACK_ELEMENTS // x.size)
     batch_shape = (-1,) + x.shape[1:]
     return _central_differences(
         lambda rows: _projected_losses(module, rows.reshape(batch_shape), direction),
-        x, copies, step,
+        x, _copies(module, x), step,
     )
+
+
+def _param_fd(module, x, direction, step=DEFAULT_STEP):
+    """{name: fd_gradient of sum(module.forward(x) * direction) with respect
+    to that parameter}, evaluated on chunks of copies of x stacked on the
+    batch axis. A chunk's m perturbed rows go in as the entry's value for one
+    forward, a per-sample stack in which sample j*N+i reads row j; the
+    entry's own array is put back afterwards."""
+    x = np.asarray(x, dtype=float)
+    n, copies = x.shape[0], _copies(module, x)
+    batch = np.concatenate([x] * copies)
+    numeric = {}
+    for name, entry in module.params.items():
+        value = entry.value
+
+        def losses(rows, entry=entry, shape=value.shape):
+            m = rows.shape[0]
+            entry.value = np.repeat(rows.reshape((m,) + shape), n, axis=0)
+            return _projected_losses(module, batch[:m * n], direction)
+
+        try:
+            numeric[name] = _central_differences(losses, value, copies, step)
+        finally:
+            entry.value = value
+    return numeric
 
 
 def check_module_gradients(module, x, direction_seed=0, step=DEFAULT_STEP):
@@ -100,14 +132,6 @@ def check_module_gradients(module, x, direction_seed=0, step=DEFAULT_STEP):
     dx = module.backward(direction.copy())
 
     errors = {"input": max_rel_error(dx, _input_fd(module, x, direction, step))}
-    for name in module.params.names():
-        value = module.params.value(name)
-
-        def loss_of_param(v, _name=name):
-            module.params.set_value(_name, v)
-            return _projected_losses(module, x, direction)
-
-        numeric = fd_gradient(loss_of_param, value, step)
-        module.params.set_value(name, value)
+    for name, numeric in _param_fd(module, x, direction, step).items():
         errors[name] = max_rel_error(module.params.grad(name), numeric)
     return errors

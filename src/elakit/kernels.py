@@ -10,6 +10,11 @@ same-padding of floor(k/2) on each side, so spatial lengths are preserved.
 Each forward kernel has a matching `*_backward` that is the exact adjoint;
 all are pure functions except `batch_norm`, which updates running statistics
 in train mode.
+
+Forward kernels index their parameters from the right, so a parameter may
+carry a leading per-sample axis: a weight of shape (N, *shape) or a
+per-channel vector of shape (N, C) broadcasts against the batch, and sample n
+reads parameter set n. Backward kernels take one parameter set.
 """
 
 import math
@@ -39,6 +44,12 @@ def check_ncl(x):
         raise ShapeError(f"expected rank-3 (N,C,L) tensor, got shape {x.shape}")
     if x.size == 0:
         raise ShapeError(f"all dimensions must be >= 1, got {x.shape}")
+
+
+def _per_channel(v, ndim):
+    """A (..., C) vector shaped to broadcast against a rank-`ndim` (N,C,...)
+    tensor; a leading per-sample axis lines up with N."""
+    return v.reshape(v.shape + (1,) * (ndim - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +130,7 @@ def conv1d_grouped(x, weight, bias=None, groups=1):
     """
     check_ncl(x)
     n, c_in, length = x.shape
-    c_out, cpg, k = weight.shape
+    c_out, cpg, k = weight.shape[-3:]
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {k}")
     if c_in % groups != 0 or c_out % groups != 0:
@@ -128,11 +139,11 @@ def conv1d_grouped(x, weight, bias=None, groups=1):
         raise ShapeError(
             f"weight expects {cpg} channels per group, input provides {c_in // groups}"
         )
-    wmat = weight.reshape(groups, c_out // groups, cpg * k).transpose(0, 2, 1)
-    out = _group_columns(x, groups, k) @ wmat  # (N, G, L, C_out/G)
+    wmat = weight.reshape(weight.shape[:-3] + (groups, c_out // groups, cpg * k))
+    out = _group_columns(x, groups, k) @ wmat.swapaxes(-1, -2)  # (N, G, L, C_out/G)
     out = out.transpose(0, 1, 3, 2).reshape(n, c_out, length).astype(x.dtype, copy=False)
     if bias is not None:
-        out += bias[None, :, None]
+        out += _per_channel(bias, 3)
     return out
 
 
@@ -163,14 +174,14 @@ def conv2d_1x1(x, weight, bias=None):
     """Per-position channel mixing. x is (N,C,...) with any spatial tail."""
     if x.ndim < 3:
         raise ShapeError(f"expected at least (N,C,L), got shape {x.shape}")
-    if weight.shape[1] != x.shape[1]:
+    if weight.shape[-1] != x.shape[1]:
         raise ShapeError(
-            f"weight expects {weight.shape[1]} input channels, got {x.shape[1]}"
+            f"weight expects {weight.shape[-1]} input channels, got {x.shape[1]}"
         )
     xf = x.reshape(x.shape[0], x.shape[1], -1)
-    out = (weight @ xf).reshape((x.shape[0], weight.shape[0]) + x.shape[2:])
+    out = (weight @ xf).reshape((x.shape[0], weight.shape[-2]) + x.shape[2:])
     if bias is not None:
-        out += bias.reshape((1, -1) + (1,) * (x.ndim - 2))
+        out += _per_channel(bias, x.ndim)
     return out
 
 
@@ -211,8 +222,8 @@ class NormState:
 
 
 def _channel_axes(x):
-    """The axes of (N,C,...) but C, and the shape of a per-channel vector."""
-    return (0,) + tuple(range(2, x.ndim)), (1, -1) + (1,) * (x.ndim - 2)
+    """The axes of (N,C,...) but C."""
+    return (0,) + tuple(range(2, x.ndim))
 
 
 def _standardize(x, axes, eps):
@@ -234,10 +245,10 @@ def _standardize(x, axes, eps):
 def _standardize_backward(dy, xhat, gamma, inv_std, view, axes):
     """Adjoint of gamma * xhat + beta per channel of (N,C,...), xhat being x
     standardized over `axes` of its `view`: (dx, dgamma, dbeta), dx in place."""
-    caxes, bshape = _channel_axes(dy)
+    caxes = _channel_axes(dy)
     dgamma = (dy * xhat).sum(axis=caxes)
     dbeta = dy.sum(axis=caxes)
-    dxhat = (dy * gamma.reshape(bshape)).reshape(view)
+    dxhat = (dy * _per_channel(gamma, dy.ndim)).reshape(view)
     xhat = xhat.reshape(view)
     m = dxhat.size // inv_std.size  # elements behind each statistic
     dx = m * dxhat
@@ -256,29 +267,29 @@ def batch_norm(x, state, gamma, beta):
     """
     if x.ndim < 3:
         raise ShapeError(f"expected at least (N,C,L), got shape {x.shape}")
-    axes, bshape = _channel_axes(x)
+    nd = x.ndim
     if state.mode == "eval":
         if not state.initialized:
             raise UninitializedNormError(
                 "eval-mode batch norm called before running statistics exist"
             )
         inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
-        xhat = (x - state.running_mean.reshape(bshape)) * inv_std.reshape(bshape)
-        return gamma.reshape(bshape) * xhat + beta.reshape(bshape), None
+        xhat = (x - _per_channel(state.running_mean, nd)) * _per_channel(inv_std, nd)
+        return _per_channel(gamma, nd) * xhat + _per_channel(beta, nd), None
     if x.shape[0] * math.prod(x.shape[2:]) < 2:
         raise ShapeError("train-mode batch norm needs N * spatial >= 2")
-    xhat, mean, var, inv_std = _standardize(x, axes, state.eps)
+    xhat, mean, var, inv_std = _standardize(x, _channel_axes(x), state.eps)
     m = state.momentum
     state.running_mean = (1.0 - m) * state.running_mean + m * mean.reshape(-1)
     state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
     state.initialized = True
-    return gamma.reshape(bshape) * xhat + beta.reshape(bshape), (xhat, inv_std, gamma)
+    return _per_channel(gamma, nd) * xhat + _per_channel(beta, nd), (xhat, inv_std, gamma)
 
 
 def batch_norm_backward(dy, cache):
     """Adjoint of train-mode batch_norm: returns (dx, dgamma, dbeta)."""
     xhat, inv_std, gamma = cache
-    return _standardize_backward(dy, xhat, gamma, inv_std, dy.shape, _channel_axes(dy)[0])
+    return _standardize_backward(dy, xhat, gamma, inv_std, dy.shape, _channel_axes(dy))
 
 
 def group_norm(x, num_groups, gamma, beta, eps=1e-5):
@@ -289,7 +300,8 @@ def group_norm(x, num_groups, gamma, beta, eps=1e-5):
         raise ShapeError(f"num_groups={num_groups} does not divide C={c}")
     xhat, _, _, inv_std = _standardize(x.reshape(n, num_groups, -1), 2, eps)
     xhat = xhat.reshape(x.shape)
-    return gamma[None, :, None] * xhat + beta[None, :, None], (xhat, inv_std, gamma, num_groups)
+    affine = _per_channel(gamma, 3) * xhat + _per_channel(beta, 3)
+    return affine, (xhat, inv_std, gamma, num_groups)
 
 
 def group_norm_backward(dy, cache):

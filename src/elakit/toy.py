@@ -44,14 +44,15 @@ def quadrant_of(row, col, size):
 
 def make_toy_batch(n, seed, size=32):
     """Noise background plus one Gaussian blob centered uniformly inside a
-    uniformly chosen quadrant; the label is that quadrant."""
+    uniformly chosen quadrant; the label is that quadrant. Quadrants split at
+    size // 2, so at an odd size the bottom and right ones are a pixel wider."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     half = size // 2
     labels = rng.integers(0, NUM_CLASSES, size=n)
-    rows = rng.uniform(0, half, size=n) + half * (labels // 2)
-    cols = rng.uniform(0, half, size=n) + half * (labels % 2)
+    rows = rng.uniform(0, np.where(labels // 2, size - half, half)) + half * (labels // 2)
+    cols = rng.uniform(0, np.where(labels % 2, size - half, half)) + half * (labels % 2)
     yy, xx = np.mgrid[0:size, 0:size]
     blobs = np.exp(
         -((yy[None] - rows[:, None, None]) ** 2 + (xx[None] - cols[:, None, None]) ** 2)

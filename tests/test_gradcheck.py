@@ -1,13 +1,14 @@
 """Central differences: fd_gradient matches a per-element reference loop
-bitwise, and the module input check's stacked evaluation matches fd_gradient
-bitwise, with one copy per forward where samples couple and bounded chunks."""
+bitwise, and the module input and parameter checks' stacked evaluations match
+fd_gradient bitwise, with one copy per forward where samples couple and
+bounded chunks."""
 
 import numpy as np
 import pytest
 
 from elakit import gradcheck
 from elakit import kernels as K
-from elakit.gradcheck import _input_fd, check_module_gradients, fd_gradient
+from elakit.gradcheck import _input_fd, _param_fd, check_module_gradients, fd_gradient
 from elakit.modules import MODULE_CHOICES, CoordinateAttention, build_attention
 
 SHAPE = (2, 16, 5, 7)
@@ -37,6 +38,14 @@ def projected_loss(module, direction):
     def loss(v):
         y, _ = module.forward(v)
         return float(np.add.reduce(y * direction, axis=None))
+    return loss
+
+
+def param_loss(module, name, x, direction):
+    """The projected loss of one copy of x as a function of one parameter."""
+    def loss(v):
+        module.params.set_value(name, v)
+        return projected_loss(module, direction)(x)
     return loss
 
 
@@ -105,17 +114,23 @@ def test_stacking_a_coupled_block_breaks_its_input_check(monkeypatch):
     assert check_module_gradients(module, x, direction_seed=2)["input"] > 1e-5
 
 
+def assert_within_the_budget(batches, x, points):
+    """Stacked batches of whole copies of x, within the element budget, that
+    evaluate each of `points` points once."""
+    per_sample = x.size // x.shape[0]
+    assert max(batches) > x.shape[0]
+    assert max(batches) * per_sample <= gradcheck._STACK_ELEMENTS
+    assert all(b % x.shape[0] == 0 for b in batches)
+    assert sum(batches) // x.shape[0] == points
+
+
 @pytest.mark.parametrize("kind", ["se", "ela-b", "ca-gn"])
 def test_stacked_batches_stay_within_the_budget(monkeypatch, kind):
     x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
     module = build_attention(kind, SHAPE[1], seed=3)
     batches = record_batches(monkeypatch, module)
     _input_fd(module, x, direction)
-    per_sample = x.size // x.shape[0]
-    assert max(batches) > x.shape[0]
-    assert max(batches) * per_sample <= gradcheck._STACK_ELEMENTS
-    assert all(b % x.shape[0] == 0 for b in batches)
-    assert sum(batches) // x.shape[0] == 2 * x.size  # every point evaluated once
+    assert_within_the_budget(batches, x, 2 * x.size)
 
 
 def test_coupled_block_runs_one_copy_per_forward(monkeypatch):
@@ -135,3 +150,65 @@ def test_input_larger_than_the_budget_runs_one_copy_per_forward(monkeypatch):
     batches = record_batches(monkeypatch, module)
     _input_fd(module, x, direction)
     assert batches == [x.shape[0]] * (2 * x.size)
+
+
+@pytest.mark.parametrize("kind", MODULE_CHOICES)
+def test_stacked_param_fd_matches_fd_gradient(kind):
+    x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
+    module = build_attention(kind, SHAPE[1], seed=3)
+    stacked = _param_fd(module, x, direction)
+    assert list(stacked) == module.params.names()
+    for name, numeric in stacked.items():
+        value = module.params.value(name)
+        expected = fd_gradient(param_loss(module, name, x, direction), value)
+        module.params.set_value(name, value)
+        np.testing.assert_array_equal(numeric, expected, err_msg=name)
+
+
+@pytest.mark.parametrize("kind", ["se", "ela-b", "ca-gn"])
+def test_stacked_param_batches_stay_within_the_budget(monkeypatch, kind):
+    x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
+    module = build_attention(kind, SHAPE[1], seed=3)
+    batches = record_batches(monkeypatch, module)
+    _param_fd(module, x, direction)
+    assert_within_the_budget(batches, x, 2 * module.params.total_params())
+
+
+def test_stacking_a_coupled_block_breaks_its_f1_weight_check(monkeypatch):
+    # negative control: with stacked copies, train-mode BN normalizes f1's
+    # output over all of them, so each copy's f1.weight perturbation leaks
+    # into the others. BN's statistics do not depend on its own gamma and
+    # beta, so their differences stay exact either way.
+    x = rand(SHAPE, 1)
+    module = build_attention("ca", SHAPE[1], seed=3)
+    assert check_module_gradients(module, x, direction_seed=2)["f1.weight"] < 1e-5
+    monkeypatch.setattr(CoordinateAttention, "couples_samples", False)
+    errors = check_module_gradients(module, x, direction_seed=2)
+    assert errors["f1.weight"] > 1e-5
+    assert max(errors["norm.gamma"], errors["norm.beta"]) < 1e-5
+
+
+@pytest.mark.parametrize("kind", MODULE_CHOICES)
+def test_checks_leave_the_parameter_arrays_as_they_were(kind):
+    x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
+    module = build_attention(kind, SHAPE[1], seed=3)
+    before = {name: (entry.value, entry.value.copy()) for name, entry in module.params.items()}
+    check_module_gradients(module, x, direction_seed=2)
+    _param_fd(module, x, direction)
+    for name, entry in module.params.items():
+        assert entry.value is before[name][0]
+        np.testing.assert_array_equal(entry.value, before[name][1])
+
+
+def test_a_failed_forward_puts_the_parameter_array_back(monkeypatch):
+    x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
+    module = build_attention("ela-b", SHAPE[1], seed=3)
+    before = {name: entry.value for name, entry in module.params.items()}
+
+    def failing(self, x, keep_intermediates=False):
+        raise FloatingPointError("forward failed")
+
+    monkeypatch.setattr(type(module), "forward", failing)
+    with pytest.raises(FloatingPointError):
+        _param_fd(module, x, direction)
+    assert all(entry.value is before[name] for name, entry in module.params.items())

@@ -759,3 +759,43 @@ class TestWindowViewAgainstReference:
             with pytest.raises(ValueError):
                 cols[...] = 0.0
         assert_bitwise((x,), (before,))
+
+
+def eval_state(c, seed):
+    state = K.NormState(c, mode="eval")
+    state.running_mean, state.running_var = rand(c, seed), 0.5 + rand(c, seed + 1) ** 2
+    state.initialized = True
+    return state
+
+
+# name -> (forward of (x, *params) returning the output, x, one parameter set)
+PER_SAMPLE_CASES = {
+    "conv1d_depthwise": (lambda x, w: K.conv1d_grouped(x, w, groups=8),
+                         rand((3, 8, 9), 1), [rand((8, 1, 5), 2)]),
+    "conv1d_channels_over_8": (lambda x, w, b: K.conv1d_grouped(x, w, b, groups=2),
+                               rand((3, 16, 11), 1), [rand((16, 8, 7), 2), rand(16, 3)]),
+    # ECA: one 1D conv along the channels, laid out as (N, 1, C)
+    "conv1d_eca": (lambda x, w: K.conv1d_grouped(x, w, groups=1),
+                   rand((3, 1, 16), 1), [rand((1, 1, 3), 2)]),
+    "conv2d_1x1_strips": (K.conv2d_1x1, rand((3, 16, 12), 1), [rand((8, 16), 2), rand(8, 3)]),
+    "conv2d_1x1_nchw": (K.conv2d_1x1, rand((3, 16, 5, 7), 1), [rand((8, 16), 2), rand(8, 3)]),
+    "group_norm": (lambda x, g, b: K.group_norm(x, 4, g, b)[0],
+                   rand((3, 16, 6), 1), [1.0 + rand(16, 2), rand(16, 3)]),
+    "batch_norm_eval": (lambda x, g, b: K.batch_norm(x, eval_state(8, 4), g, b)[0],
+                        rand((3, 8, 6), 1), [1.0 + rand(8, 2), rand(8, 3)]),
+    # train mode couples samples: every plain run sees the whole batch
+    "batch_norm_train": (lambda x, g, b: K.batch_norm(x, K.NormState(8), g, b)[0],
+                         rand((3, 8, 6), 1), [1.0 + rand(8, 2), rand(8, 3)]),
+}
+
+
+@pytest.mark.parametrize("case", PER_SAMPLE_CASES)
+def test_a_per_sample_parameter_stack_runs_each_sample_with_its_own_set(case):
+    # forward kernels index parameters from the right, so an (N, *shape)
+    # stack broadcasts against the batch: sample n sees parameter set n
+    forward, x, params = PER_SAMPLE_CASES[case]
+    n = x.shape[0]
+    stacks = [p[None] * (1.0 + np.arange(n) / n).reshape((n,) + (1,) * p.ndim) for p in params]
+    out = forward(x, *stacks)
+    for i in range(n):
+        np.testing.assert_array_equal(out[i], forward(x, *(s[i] for s in stacks))[i])

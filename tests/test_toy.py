@@ -49,6 +49,23 @@ class TestToyBatch:
         batch = make_toy_batch(200, seed=0, size=33)
         assert [quadrant_of(row, col, 33) for row, col in batch.centers] == batch.labels.tolist()
 
+    def test_odd_size_centers_cover_the_wider_quadrants(self):
+        # the bottom and right quadrants of a 33-pixel image span [16, 33)
+        batch = make_toy_batch(2000, seed=0, size=33)
+        assert batch.centers.max(axis=0).min() > 32.0
+        assert [quadrant_of(row, col, 33) for row, col in batch.centers] == batch.labels.tolist()
+
+    def test_even_size_draws_are_unchanged(self):
+        # one uniform draw over [0, size // 2) per coordinate, as before the
+        # quadrants were sized separately
+        batch = make_toy_batch(512, seed=1)
+        rng = np.random.default_rng(1)
+        labels = rng.integers(0, 4, size=512)
+        rows = rng.uniform(0, 16, size=512) + 16 * (labels // 2)
+        cols = rng.uniform(0, 16, size=512) + 16 * (labels % 2)
+        np.testing.assert_array_equal(batch.labels, labels)
+        np.testing.assert_array_equal(batch.centers, np.stack([rows, cols], axis=1))
+
     def test_blob_peak_near_center(self):
         batch = make_toy_batch(8, seed=6)
         for img, (row, col) in zip(batch.images[:, 0], batch.centers):
