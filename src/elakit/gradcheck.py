@@ -1,9 +1,9 @@
 """Finite-difference verification of analytic backward passes.
 
-All checks use central differences (default step 1e-5) in double precision.
-Module-level checks project the output onto a fixed random direction R so a
-scalar loss sum(y * R) exercises every output entry; analytic gradients then
-come from backward(R).
+All checks use central differences with one fixed step, DEFAULT_STEP (1e-5),
+in double precision. Module-level checks project the output onto a fixed
+random direction R so a scalar loss sum(y * R) exercises every output entry;
+analytic gradients then come from backward(R).
 
 One loop forms every central-difference point, for fd_gradient and for the
 module checks alike, and evaluates the points in chunks of stacked rows. Both
@@ -30,15 +30,15 @@ REL_FLOOR = 1e-3
 _STACK_ELEMENTS = 8 * 2 * 16 * 5 * 7
 
 
-def _central_differences(losses, x, copies, step):
+def _central_differences(losses, x, copies):
     """Central differences of a scalar loss with respect to x.
 
-    Point p moves element p // 2 up by `step` for even p and down for odd p.
-    `losses` maps an (m, x.size) stack of points, m <= copies, to their m
-    losses.
+    Point p moves element p // 2 up by DEFAULT_STEP for even p and down for
+    odd p. `losses` maps an (m, x.size) stack of points, m <= copies, to
+    their m losses.
     """
     flat = x.reshape(-1)
-    values = np.stack([flat + step, flat - step], axis=1).reshape(-1)
+    values = np.stack([flat + DEFAULT_STEP, flat - DEFAULT_STEP], axis=1).reshape(-1)
     points = np.arange(values.size)
     # point p sits in row p % copies of its chunk: its flat index in `stacked`
     targets = points % copies * flat.size + points // 2
@@ -50,13 +50,13 @@ def _central_differences(losses, x, copies, step):
         stacked[:m] = flat
         stacked.reshape(-1)[targets[chunk]] = values[chunk]
         out[chunk] = losses(stacked[:m])
-    return ((out[0::2] - out[1::2]) / (2.0 * step)).reshape(x.shape)
+    return ((out[0::2] - out[1::2]) / (2.0 * DEFAULT_STEP)).reshape(x.shape)
 
 
-def fd_gradient(f, x, step=DEFAULT_STEP):
+def fd_gradient(f, x):
     """Central-difference gradient of scalar-valued f with respect to x."""
     x = np.asarray(x, dtype=float)
-    return _central_differences(lambda row: f(row.reshape(x.shape)), x, 1, step)
+    return _central_differences(lambda row: f(row.reshape(x.shape)), x, 1)
 
 
 def max_rel_error(analytic, numeric):
@@ -78,18 +78,18 @@ def _copies(module, x):
     return 1 if module.couples_samples else max(1, _STACK_ELEMENTS // x.size)
 
 
-def _input_fd(module, x, direction, step=DEFAULT_STEP):
+def _input_fd(module, x, direction):
     """fd_gradient of sum(module.forward(x) * direction) with respect to x,
     evaluated on chunks of perturbed copies of x stacked on the batch axis."""
     x = np.asarray(x, dtype=float)
     batch_shape = (-1,) + x.shape[1:]
     return _central_differences(
         lambda rows: _projected_losses(module, rows.reshape(batch_shape), direction),
-        x, _copies(module, x), step,
+        x, _copies(module, x),
     )
 
 
-def _param_fd(module, x, direction, step=DEFAULT_STEP):
+def _param_fd(module, x, direction):
     """{name: fd_gradient of sum(module.forward(x) * direction) with respect
     to that parameter}, evaluated on chunks of copies of x stacked on the
     batch axis. A chunk's m perturbed rows go in as the entry's value for one
@@ -108,13 +108,13 @@ def _param_fd(module, x, direction, step=DEFAULT_STEP):
             return _projected_losses(module, batch[:m * n], direction)
 
         try:
-            numeric[name] = _central_differences(losses, value, copies, step)
+            numeric[name] = _central_differences(losses, value, copies)
         finally:
             entry.value = value
     return numeric
 
 
-def check_module_gradients(module, x, direction_seed=0, step=DEFAULT_STEP):
+def check_module_gradients(module, x, direction_seed=0):
     """Full-module gradient check against finite differences.
 
     Returns {"input": err, <param name>: err, ...} where each entry is the
@@ -131,7 +131,7 @@ def check_module_gradients(module, x, direction_seed=0, step=DEFAULT_STEP):
     module.params.zero_grads()
     dx = module.backward(direction.copy())
 
-    errors = {"input": max_rel_error(dx, _input_fd(module, x, direction, step))}
-    for name, numeric in _param_fd(module, x, direction, step).items():
+    errors = {"input": max_rel_error(dx, _input_fd(module, x, direction))}
+    for name, numeric in _param_fd(module, x, direction).items():
         errors[name] = max_rel_error(module.params.grad(name), numeric)
     return errors

@@ -6,10 +6,13 @@ Strip pooling averages over W to produce the height map (N, C, H) and over H
 to produce the width map (N, C, W); the divisor is always the pooled extent.
 All convolutions are cross-correlations (no kernel flip) with zero
 same-padding of floor(k/2) on each side, so spatial lengths are preserved.
+The grouped 1D convolution carries no bias: ELA follows it with GN, whose
+beta absorbs one, and ECA's has none.
 
 Each forward kernel has a matching `*_backward` that is the exact adjoint;
 all are pure functions except `batch_norm`, which updates running statistics
-in train mode.
+in train mode. Batch norm's momentum and epsilon are the constants
+BN_MOMENTUM and BN_EPS; its backward follows the mode its forward ran in.
 
 Forward kernels index their parameters from the right, so a parameter may
 carry a leading per-sample axis: a weight of shape (N, *shape) or a
@@ -123,8 +126,9 @@ def _group_columns(a, groups, k):
     return win.reshape(n, groups, length, cpg * k)
 
 
-def conv1d_grouped(x, weight, bias=None, groups=1):
-    """Grouped same-padded 1D cross-correlation on (N,C,L).
+def conv1d_grouped(x, weight, *, groups):
+    """Grouped same-padded 1D cross-correlation on (N,C,L), without bias (the
+    1D convs of ELA and ECA carry none).
 
     weight has shape (C_out, C_in/groups, k) with odd k; output length == L.
     """
@@ -141,14 +145,11 @@ def conv1d_grouped(x, weight, bias=None, groups=1):
         )
     wmat = weight.reshape(weight.shape[:-3] + (groups, c_out // groups, cpg * k))
     out = _group_columns(x, groups, k) @ wmat.swapaxes(-1, -2)  # (N, G, L, C_out/G)
-    out = out.transpose(0, 1, 3, 2).reshape(n, c_out, length).astype(x.dtype, copy=False)
-    if bias is not None:
-        out += _per_channel(bias, 3)
-    return out
+    return out.transpose(0, 1, 3, 2).reshape(n, c_out, length).astype(x.dtype, copy=False)
 
 
-def conv1d_grouped_backward(dy, x, weight, groups=1, with_bias=False):
-    """Adjoint of conv1d_grouped: returns (dx, dweight, dbias-or-None).
+def conv1d_grouped_backward(dy, x, weight, *, groups):
+    """Adjoint of conv1d_grouped: returns (dx, dweight).
 
     dx correlates the same-padded dy windows with the flipped kernel.
     """
@@ -162,8 +163,7 @@ def conv1d_grouped_backward(dy, x, weight, groups=1, with_bias=False):
     wflip = weight[..., ::-1].reshape(groups, opg, cpg, k).transpose(0, 1, 3, 2)
     dx = _group_columns(dy, groups, k) @ wflip.reshape(groups, opg * k, cpg)  # (N, G, L, cpg)
     dx = dx.transpose(0, 1, 3, 2).reshape(x.shape).astype(x.dtype, copy=False)
-    dbias = dy.sum(axis=(0, 2)) if with_bias else None
-    return dx, dweight, dbias
+    return dx, dweight
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +198,22 @@ def conv2d_1x1_backward(dy, x, weight, with_bias=False):
 # normalization
 # ---------------------------------------------------------------------------
 
+# batch norm's running-statistics momentum and variance epsilon
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
+
 @dataclass
 class NormState:
     """Running statistics and mode for batch normalization."""
 
     num_channels: int
-    momentum: float = 0.1
-    eps: float = 1e-5
     mode: str = "train"  # train | eval
     running_mean: np.ndarray = field(default=None)
     running_var: np.ndarray = field(default=None)
     initialized: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.momentum < 1.0:
-            raise ValueError(f"momentum must be in (0,1), got {self.momentum}")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.running_mean is None:
             self.running_mean = np.zeros(self.num_channels)
         if self.running_var is None:
@@ -262,34 +261,41 @@ def batch_norm(x, state, gamma, beta):
     """Per-channel batch normalization; x is (N,C,...).
 
     Train mode normalizes with batch statistics over (N, spatial) and updates
-    the running estimates; eval mode uses running statistics only. Returns
-    (out, cache); cache is None in eval mode.
+    the running estimates; eval mode uses running statistics only, a fixed
+    per-channel affine map of x. Returns (out, cache).
     """
     if x.ndim < 3:
         raise ShapeError(f"expected at least (N,C,L), got shape {x.shape}")
-    nd = x.ndim
-    if state.mode == "eval":
+    nd, running = x.ndim, state.mode == "eval"  # eval normalizes with the running statistics
+    if running:
         if not state.initialized:
             raise UninitializedNormError(
                 "eval-mode batch norm called before running statistics exist"
             )
-        inv_std = 1.0 / np.sqrt(state.running_var + state.eps)
+        inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
         xhat = (x - _per_channel(state.running_mean, nd)) * _per_channel(inv_std, nd)
-        return _per_channel(gamma, nd) * xhat + _per_channel(beta, nd), None
-    if x.shape[0] * math.prod(x.shape[2:]) < 2:
-        raise ShapeError("train-mode batch norm needs N * spatial >= 2")
-    xhat, mean, var, inv_std = _standardize(x, _channel_axes(x), state.eps)
-    m = state.momentum
-    state.running_mean = (1.0 - m) * state.running_mean + m * mean.reshape(-1)
-    state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
-    state.initialized = True
-    return _per_channel(gamma, nd) * xhat + _per_channel(beta, nd), (xhat, inv_std, gamma)
+    else:
+        if x.shape[0] * math.prod(x.shape[2:]) < 2:
+            raise ShapeError("train-mode batch norm needs N * spatial >= 2")
+        xhat, mean, var, inv_std = _standardize(x, _channel_axes(x), BN_EPS)
+        m = BN_MOMENTUM
+        state.running_mean = (1.0 - m) * state.running_mean + m * mean.reshape(-1)
+        state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
+        state.initialized = True
+    out = _per_channel(gamma, nd) * xhat + _per_channel(beta, nd)
+    return out, (xhat, inv_std, gamma, running)
 
 
 def batch_norm_backward(dy, cache):
-    """Adjoint of train-mode batch_norm: returns (dx, dgamma, dbeta)."""
-    xhat, inv_std, gamma = cache
-    return _standardize_backward(dy, xhat, gamma, inv_std, dy.shape, _channel_axes(dy))
+    """Adjoint of batch_norm in the mode its forward ran in: returns
+    (dx, dgamma, dbeta). In eval mode the statistics are constants, so dx is
+    dy * gamma / sqrt(running_var + eps) per channel."""
+    xhat, inv_std, gamma, running = cache
+    caxes = _channel_axes(dy)
+    if running:
+        dx = dy * _per_channel(gamma * inv_std, dy.ndim)
+        return dx, (dy * xhat).sum(axis=caxes), dy.sum(axis=caxes)
+    return _standardize_backward(dy, xhat, gamma, inv_std, dy.shape, caxes)
 
 
 def group_norm(x, num_groups, gamma, beta, eps=1e-5):

@@ -169,9 +169,6 @@ class EcaConfig:
         return _channel_macs(c, h, w) + self.kernel_size * c
 
 
-GN_EPS = 1e-5
-
-
 def _he_normal(rng, shape, fan_in):
     return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
 
@@ -181,19 +178,17 @@ def _he_normal(rng, shape, fan_in):
 # ---------------------------------------------------------------------------
 
 class _Block:
-    """Construction and the backward guard of every block. A block sets
-    `default_cfg`, resolves derived sizes in `_resolve` (before
-    `init_params`), and implements `_backward(dy, *self._cache)`."""
+    """Construction and the backward guard of every block. A block is built
+    from a registered config (see REGISTRY and build_attention); its
+    `_init(rng)` derives its sizes from `cfg` and `channels` and adds its
+    parameters to `params`, and it implements `_backward(dy, *self._cache)`."""
 
-    def __init__(self, channels, cfg=None, seed=0):
-        self.cfg = cfg or self.default_cfg
+    def __init__(self, channels, cfg, seed=0):
+        self.cfg = cfg
         self.channels = channels
-        self._resolve()
-        self.params = self.init_params(seed)
+        self.params = ParamStore()
+        self._init(np.random.default_rng(seed))
         self._cache = None
-
-    def _resolve(self):
-        pass
 
     @property
     def couples_samples(self):
@@ -264,34 +259,23 @@ class EfficientLocalAttention(_DirectionalBlock):
     """Strip pool -> grouped 1D conv -> GN -> sigmoid per direction, then
     gate the input with the outer product of both directional maps."""
 
-    default_cfg = ELA_PRESETS["ela-b"]
-
-    def _resolve(self):
-        self.groups = self.cfg.resolve_conv_groups(self.channels)
-        self.gn_groups = self.cfg.resolve_gn_groups(self.channels)
-
-    def init_params(self, seed):
-        rng = np.random.default_rng(seed)
-        c, k = self.channels, self.cfg.kernel_size
+    def _init(self, rng):
+        c, k, p = self.channels, self.cfg.kernel_size, self.params
+        self.groups = self.cfg.resolve_conv_groups(c)
+        self.gn_groups = self.cfg.resolve_gn_groups(c)
         cpg = c // self.groups
-        store = ParamStore()
-        store.add("conv_h.weight", _he_normal(rng, (c, cpg, k), cpg * k))
-        store.add("conv_w.weight", _he_normal(rng, (c, cpg, k), cpg * k))
+        p.add("conv_h.weight", _he_normal(rng, (c, cpg, k), cpg * k))
+        p.add("conv_w.weight", _he_normal(rng, (c, cpg, k), cpg * k))
         for d in ("h", "w"):
-            store.add(f"gn_{d}.gamma", np.ones(c), role="norm")
-            store.add(f"gn_{d}.beta", np.zeros(c), role="norm")
-        return store
+            p.add(f"gn_{d}.gamma", np.ones(c), role="norm")
+            p.add(f"gn_{d}.beta", np.zeros(c), role="norm")
 
     def _logits(self, zh, zw):
         p = self.params
         ch = K.conv1d_grouped(zh, p.value("conv_h.weight"), groups=self.groups)
         cw = K.conv1d_grouped(zw, p.value("conv_w.weight"), groups=self.groups)
-        nh, cache_h = K.group_norm(
-            ch, self.gn_groups, p.value("gn_h.gamma"), p.value("gn_h.beta"), GN_EPS
-        )
-        nw, cache_w = K.group_norm(
-            cw, self.gn_groups, p.value("gn_w.gamma"), p.value("gn_w.beta"), GN_EPS
-        )
+        nh, cache_h = K.group_norm(ch, self.gn_groups, p.value("gn_h.gamma"), p.value("gn_h.beta"))
+        nw, cache_w = K.group_norm(cw, self.gn_groups, p.value("gn_w.gamma"), p.value("gn_w.beta"))
         return nh, nw, (zh, zw, ch, cw, cache_h, cache_w)
 
     def _logits_backward(self, dnh, dnw, zh, zw, ch, cw, cache_h, cache_w):
@@ -300,7 +284,7 @@ class EfficientLocalAttention(_DirectionalBlock):
             dc, dgamma, dbeta = K.group_norm_backward(dn, cache)
             p.accumulate_grad(f"gn_{d}.gamma", dgamma)
             p.accumulate_grad(f"gn_{d}.beta", dbeta)
-            dzd, dw, _ = K.conv1d_grouped_backward(
+            dzd, dw = K.conv1d_grouped_backward(
                 dc, z, p.value(f"conv_{d}.weight"), groups=self.groups
             )
             p.accumulate_grad(f"conv_{d}.weight", dw)
@@ -317,41 +301,32 @@ class CoordinateAttention(_DirectionalBlock):
     (BN or GN), apply hard swish, split, re-expand to C channels, and gate
     with both directional sigmoid maps."""
 
-    default_cfg = CaConfig()
-
-    def _resolve(self):
-        self.mip = self.cfg.intermediate_channels(self.channels)
+    def _init(self, rng):
+        c, p = self.channels, self.params
+        self.mip = mip = self.cfg.intermediate_channels(c)
         if self.cfg.norm_flavor == "bn":
-            self.norm_state = K.NormState(self.mip)
+            self.norm_state = K.NormState(mip)
         else:
             self.norm_state = None
-            self.gn_groups = self.cfg.resolve_gn_groups(self.channels)
+            self.gn_groups = self.cfg.resolve_gn_groups(c)
+        p.add("f1.weight", _he_normal(rng, (mip, c), c))
+        p.add("norm.gamma", np.ones(mip), role="norm")
+        p.add("norm.beta", np.zeros(mip), role="norm")
+        p.add("fh.weight", _he_normal(rng, (c, mip), mip))
+        p.add("fh.bias", np.zeros(c), role="bias")
+        p.add("fw.weight", _he_normal(rng, (c, mip), mip))
+        p.add("fw.bias", np.zeros(c), role="bias")
 
     @property
     def couples_samples(self):
         # train-mode BN normalizes with the statistics of the whole batch
         return self.norm_state is not None and self.norm_state.mode == "train"
 
-    def init_params(self, seed):
-        rng = np.random.default_rng(seed)
-        c, mip = self.channels, self.mip
-        store = ParamStore()
-        store.add("f1.weight", _he_normal(rng, (mip, c), c))
-        store.add("norm.gamma", np.ones(mip), role="norm")
-        store.add("norm.beta", np.zeros(mip), role="norm")
-        store.add("fh.weight", _he_normal(rng, (c, mip), mip))
-        store.add("fh.bias", np.zeros(c), role="bias")
-        store.add("fw.weight", _he_normal(rng, (c, mip), mip))
-        store.add("fw.bias", np.zeros(c), role="bias")
-        return store
-
     def _norm(self, u):
         p = self.params
         if self.cfg.norm_flavor == "bn":
             return K.batch_norm(u, self.norm_state, p.value("norm.gamma"), p.value("norm.beta"))
-        return K.group_norm(
-            u, self.gn_groups, p.value("norm.gamma"), p.value("norm.beta"), GN_EPS
-        )
+        return K.group_norm(u, self.gn_groups, p.value("norm.gamma"), p.value("norm.beta"))
 
     def _logits(self, zh, zw):
         p = self.params
@@ -394,18 +369,11 @@ class CoordinateAttention(_DirectionalBlock):
 class SqueezeExcitation(_ChannelBlock):
     """Global pool -> C->mip -> relu -> mip->C -> sigmoid channel gate."""
 
-    default_cfg = SeConfig()
-
-    def _resolve(self):
-        self.mip = self.cfg.intermediate_channels(self.channels)
-
-    def init_params(self, seed):
-        rng = np.random.default_rng(seed)
-        c, mip = self.channels, self.mip
-        store = ParamStore()
-        store.add("fc1.weight", _he_normal(rng, (mip, c), c))
-        store.add("fc2.weight", _he_normal(rng, (c, mip), mip))
-        return store
+    def _init(self, rng):
+        c = self.channels
+        self.mip = mip = self.cfg.intermediate_channels(c)
+        self.params.add("fc1.weight", _he_normal(rng, (mip, c), c))
+        self.params.add("fc2.weight", _he_normal(rng, (c, mip), mip))
 
     def _logits(self, pooled):
         p = self.params
@@ -426,14 +394,9 @@ class SqueezeExcitation(_ChannelBlock):
 class EfficientChannelAttention(_ChannelBlock):
     """Global pool -> 1D conv of size k across the channel axis -> sigmoid."""
 
-    default_cfg = EcaConfig()
-
-    def init_params(self, seed):
-        rng = np.random.default_rng(seed)
+    def _init(self, rng):
         k = self.cfg.kernel_size
-        store = ParamStore()
-        store.add("conv.weight", _he_normal(rng, (1, 1, k), k))
-        return store
+        self.params.add("conv.weight", _he_normal(rng, (1, 1, k), k))
 
     def _logits(self, pooled):
         seq = pooled.transpose(0, 2, 1)  # (N,1,C): channels as the sequence
@@ -441,7 +404,7 @@ class EfficientChannelAttention(_ChannelBlock):
         return v.transpose(0, 2, 1), (seq,)
 
     def _logits_backward(self, dv, seq):
-        dseq, dw, _ = K.conv1d_grouped_backward(
+        dseq, dw = K.conv1d_grouped_backward(
             dv.transpose(0, 2, 1), seq, self.params.value("conv.weight"), groups=1
         )
         self.params.accumulate_grad("conv.weight", dw)

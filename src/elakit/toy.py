@@ -258,7 +258,9 @@ def train_toy(
     Raises DivergenceError if the loss becomes non-finite.
     """
     data = make_toy_batch(train_size, seed=seed)
-    cfg = MiniCnnConfig(attention=attention if attention != "none" else None)
+    if attention is not None and attention.lower() == "none":
+        attention = None  # the no-attention control; like the kinds, it ignores case
+    cfg = MiniCnnConfig(attention=attention)
     model = MiniCnn(cfg, seed=seed)
     state = TrainState(lr=lr, momentum=momentum)
     order_rng = np.random.default_rng(seed + 1)

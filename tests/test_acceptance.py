@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from elakit import gradcheck
 from elakit import kernels as K
 from elakit.accounting import PlacementSpec, audit_network, param_count, param_count_enumerated
 from elakit.cli import main
@@ -27,13 +28,14 @@ def report(criterion, detail):
 def test_criterion_1_gradient_fidelity():
     # max rel error < 1e-5, double precision, step 1e-5, all modules at
     # N=2, C=16, H=5, W=7; total runtime under 60 s
+    assert gradcheck.DEFAULT_STEP == 1e-5
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 16, 5, 7))
     t0 = time.perf_counter()
     worst = {}
     for kind in ALL_KINDS:
         module = build_attention(kind, 16, seed=1)
-        errors = check_module_gradients(module, x, direction_seed=2, step=1e-5)
+        errors = check_module_gradients(module, x, direction_seed=2)
         worst[kind] = max(errors.values())
         assert worst[kind] < 1e-5, f"{kind}: {errors}"
     elapsed = time.perf_counter() - t0

@@ -104,6 +104,15 @@ def test_coupling_is_declared_by_the_block():
     assert not any(build_attention(k, 16).couples_samples for k in MODULE_CHOICES if k != "ca")
 
 
+def test_eval_mode_batch_norm_passes_the_check():
+    # eval-mode BN has its own adjoint: the running statistics are constants
+    module = build_attention("ca", SHAPE[1], seed=3)
+    module.forward(rand(SHAPE, 4))  # a train-mode forward sets the running statistics
+    module.norm_state.mode = "eval"
+    errors = check_module_gradients(module, rand(SHAPE, 1), direction_seed=2)
+    assert max(errors.values()) < 1e-5, errors
+
+
 def test_stacking_a_coupled_block_breaks_its_input_check(monkeypatch):
     # negative control: train-mode BN fed stacked copies normalizes over all
     # of them, so the finite differences no longer match backward

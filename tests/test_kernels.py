@@ -142,24 +142,17 @@ class TestConv1dGrouped:
         # summation order differs from the loop, so allow rounding-level slack
         assert np.allclose(out, expected, atol=1e-12, rtol=1e-12)
 
-    def test_bias(self):
-        x = rand((1, 2, 4))
-        w = np.zeros((2, 2, 3))
-        b = np.array([1.0, -2.0])
-        out = K.conv1d_grouped(x, w, b, groups=1)
-        assert np.allclose(out[0, 0], 1.0) and np.allclose(out[0, 1], -2.0)
-
     def test_backward_zero_dy(self):
         x, w = rand((1, 4, 5)), rand((4, 1, 3))
-        dx, dw, db = K.conv1d_grouped_backward(np.zeros((1, 4, 5)), x, w, groups=4, with_bias=True)
-        assert not dx.any() and not dw.any() and not db.any()
+        dx, dw = K.conv1d_grouped_backward(np.zeros((1, 4, 5)), x, w, groups=4)
+        assert not dx.any() and not dw.any()
 
     def test_dweight_center_loop_oracle(self):
         x = rand((1, 3, 5), 7)
         dy = rand((1, 3, 5), 8)
         w = np.zeros((3, 1, 3))
         w[:, 0, 1] = 1.0
-        _, dw, _ = K.conv1d_grouped_backward(dy, x, w, groups=3)
+        _, dw = K.conv1d_grouped_backward(dy, x, w, groups=3)
         for c in range(3):
             assert np.isclose(dw[c, 0, 1], np.sum(dy[0, c] * x[0, c]))
 
@@ -175,7 +168,7 @@ class TestConv1dGrouped:
         def loss_w(v):
             return float(np.sum(K.conv1d_grouped(x, v, groups=groups) * dy))
 
-        dx, dw, _ = K.conv1d_grouped_backward(dy, x, w, groups=groups)
+        dx, dw = K.conv1d_grouped_backward(dy, x, w, groups=groups)
         assert max_rel_error(dx, fd_gradient(loss_x, x)) < 1e-6
         assert max_rel_error(dw, fd_gradient(loss_w, w)) < 1e-6
 
@@ -187,7 +180,7 @@ class TestConv1dGrouped:
         np.testing.assert_allclose(out, reference_conv1d_grouped(x, w, groups),
                                    rtol=1e-12, atol=1e-12)
         dy = rand(out.shape, 14)
-        dx, dw, _ = K.conv1d_grouped_backward(dy, x, w, groups=groups)
+        dx, dw = K.conv1d_grouped_backward(dy, x, w, groups=groups)
         ref_dx, ref_dw = reference_conv1d_grouped_backward(dy, x, w, groups)
         np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-12)
@@ -198,7 +191,7 @@ class TestConv1dGrouped:
         w = rand((8, 2, 3), 16).astype(w_dtype)
         out = K.conv1d_grouped(x, w, groups=4)
         assert out.dtype == np.float32
-        dx, dw, _ = K.conv1d_grouped_backward(out, x, w, groups=4)
+        dx, dw = K.conv1d_grouped_backward(out, x, w, groups=4)
         assert dx.dtype == np.float32
         assert dw.dtype == w_dtype
 
@@ -244,7 +237,7 @@ class TestBatchNorm:
         state.initialized = True
         x = rand((2, 3, 4))
         out, _ = K.batch_norm(x, state, np.ones(3), np.zeros(3))
-        assert np.allclose(out, x / np.sqrt(1.0 + state.eps))
+        assert np.allclose(out, x / np.sqrt(1.0 + K.BN_EPS))
 
     def test_train_constant_input_centers(self):
         state = K.NormState(2)
@@ -276,7 +269,8 @@ class TestBatchNorm:
         assert np.array_equal(ev_a[0], ev_b[0])
 
     def test_running_stats_update(self):
-        state = K.NormState(1, momentum=0.1)
+        assert K.BN_MOMENTUM == 0.1
+        state = K.NormState(1)
         x = np.arange(8.0).reshape(2, 1, 4)
         K.batch_norm(x, state, np.ones(1), np.zeros(1))
         assert np.isclose(state.running_mean[0], 0.9 * 0.0 + 0.1 * x.mean())
@@ -298,6 +292,26 @@ class TestBatchNorm:
         assert max_rel_error(dx, fd_gradient(lambda v: loss(v, gamma, beta), x)) < 1e-5
         assert max_rel_error(dgamma, fd_gradient(lambda v: loss(x, v, beta), gamma)) < 1e-5
         assert max_rel_error(dbeta, fd_gradient(lambda v: loss(x, gamma, v), beta)) < 1e-5
+
+    def test_eval_backward_matches_finite_differences(self):
+        # eval mode reads the running statistics as constants: a per-channel
+        # affine map whose adjoint scales dy by gamma / sqrt(running_var + eps)
+        x = rand((3, 2, 4), 21)
+        gamma, beta = rand((2,), 22), rand((2,), 23)
+        dy = rand((3, 2, 4), 24)
+
+        def loss(inp, g, b):
+            out, _ = K.batch_norm(inp, eval_state(2, 25), g, b)
+            return float(np.sum(out * dy))
+
+        state = eval_state(2, 25)
+        _, cache = K.batch_norm(x, state, gamma, beta)
+        dx, dgamma, dbeta = K.batch_norm_backward(dy, cache)
+        assert max_rel_error(dx, fd_gradient(lambda v: loss(v, gamma, beta), x)) < 1e-5
+        assert max_rel_error(dgamma, fd_gradient(lambda v: loss(x, v, beta), gamma)) < 1e-5
+        assert max_rel_error(dbeta, fd_gradient(lambda v: loss(x, gamma, v), beta)) < 1e-5
+        inv_std = 1.0 / np.sqrt(state.running_var + K.BN_EPS)
+        np.testing.assert_array_equal(dx, dy * (gamma * inv_std)[None, :, None])
 
 
 class TestGroupNorm:
@@ -383,10 +397,10 @@ def reference_batch_norm(x, state, gamma, beta):
     bshape = (1, -1) + (1,) * (x.ndim - 2)
     mean = x.mean(axis=axes)
     var = x.var(axis=axes)
-    m = state.momentum
+    m = K.BN_MOMENTUM
     state.running_mean = (1.0 - m) * state.running_mean + m * mean
     state.running_var = (1.0 - m) * state.running_var + m * var
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+    inv_std = 1.0 / np.sqrt(var + K.BN_EPS)
     xhat = (x - mean.reshape(bshape)) * inv_std.reshape(bshape)
     return gamma.reshape(bshape) * xhat + beta.reshape(bshape), xhat, inv_std
 
@@ -448,7 +462,7 @@ class TestNormalizationAgainstReferences:
     def test_batch_norm_forward_bitwise(self, shape, dtype):
         x, _, gamma, beta = norm_inputs(shape, dtype)
         state, ref_state = K.NormState(shape[1]), K.NormState(shape[1])
-        out, (xhat, _, _) = K.batch_norm(x, state, gamma, beta)
+        out, (xhat, *_) = K.batch_norm(x, state, gamma, beta)
         ref_out, ref_xhat, _ = reference_batch_norm(x, ref_state, gamma, beta)
         assert_bitwise(
             (out, xhat, state.running_mean, state.running_var),
@@ -737,7 +751,7 @@ class TestWindowViewAgainstReference:
 
         def run():
             return (K.conv1d_grouped(x, w, groups=groups),
-                    *K.conv1d_grouped_backward(dy, x, w, groups=groups, with_bias=True))
+                    *K.conv1d_grouped_backward(dy, x, w, groups=groups))
 
         got = run()
         assert_bitwise((x, w, dy), inputs)
@@ -772,8 +786,8 @@ def eval_state(c, seed):
 PER_SAMPLE_CASES = {
     "conv1d_depthwise": (lambda x, w: K.conv1d_grouped(x, w, groups=8),
                          rand((3, 8, 9), 1), [rand((8, 1, 5), 2)]),
-    "conv1d_channels_over_8": (lambda x, w, b: K.conv1d_grouped(x, w, b, groups=2),
-                               rand((3, 16, 11), 1), [rand((16, 8, 7), 2), rand(16, 3)]),
+    "conv1d_channels_over_8": (lambda x, w: K.conv1d_grouped(x, w, groups=2),
+                               rand((3, 16, 11), 1), [rand((16, 8, 7), 2)]),
     # ECA: one 1D conv along the channels, laid out as (N, 1, C)
     "conv1d_eca": (lambda x, w: K.conv1d_grouped(x, w, groups=1),
                    rand((3, 1, 16), 1), [rand((1, 1, 3), 2)]),

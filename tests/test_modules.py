@@ -122,8 +122,8 @@ class TestRegistry:
 
 class TestInitParams:
     def test_deterministic_per_seed(self):
-        a = EfficientLocalAttention(32, seed=5).params
-        b = EfficientLocalAttention(32, seed=5).params
+        a = EfficientLocalAttention(32, ELA_PRESETS["ela-b"], seed=5).params
+        b = EfficientLocalAttention(32, ELA_PRESETS["ela-b"], seed=5).params
         assert a.names() == b.names()
         for name in a.names():
             assert np.array_equal(a.value(name), b.value(name))
@@ -141,7 +141,7 @@ class TestInitParams:
         }
 
     def test_norm_params_start_at_identity(self):
-        m = EfficientLocalAttention(16, seed=0)
+        m = EfficientLocalAttention(16, ELA_PRESETS["ela-b"], seed=0)
         assert np.all(m.params.value("gn_h.gamma") == 1.0)
         assert np.all(m.params.value("gn_h.beta") == 0.0)
 
@@ -170,7 +170,7 @@ class TestZeroWeightFixedPoints:
 
     def test_se_half(self):
         x = rand((2, 16, 3, 3), 4)
-        m = zero_weights(SqueezeExcitation(16, seed=0))
+        m = zero_weights(SqueezeExcitation(16, SeConfig(), seed=0))
         y, gate = m.forward(x)
         assert np.max(np.abs(gate.gate - 0.5)) == 0.0
         assert np.max(np.abs(y - 0.5 * x)) < 1e-12
@@ -224,7 +224,7 @@ class TestReferenceComposition:
 
     def test_eca_identity_kernel_gate(self):
         x = rand((1, 8, 2, 2), 10)
-        m = EfficientChannelAttention(8, seed=0)
+        m = EfficientChannelAttention(8, EcaConfig(), seed=0)
         w = np.zeros((1, 1, 3))
         w[0, 0, 1] = 1.0
         m.params.set_value("conv.weight", w)
@@ -253,7 +253,7 @@ class TestStructuralInvariants:
 
     def test_ela_keeps_full_channel_width(self):
         # no channel dimensionality reduction: every intermediate carries C
-        m = EfficientLocalAttention(32, seed=0)
+        m = EfficientLocalAttention(32, ELA_PRESETS["ela-b"], seed=0)
         x = rand((1, 32, 4, 4), 13)
         m.forward(x, keep_intermediates=True)
         _, zh, zw, ch, cw, *_ = m._cache
@@ -289,7 +289,7 @@ class TestStructuralInvariants:
         i0, j0 = 2, 3
         eps = 1e-3
 
-        ela = EfficientLocalAttention(16, seed=4)
+        ela = EfficientLocalAttention(16, ELA_PRESETS["ela-b"], seed=4)
         y0, _ = ela.forward(x)
         xp = x.copy()
         xp[0, 0, i0, j0] += eps
@@ -298,7 +298,7 @@ class TestStructuralInvariants:
         assert delta[i0, (j0 + 2) % 7] > 1e-9  # same row, different column
         assert delta[(i0 + 2) % 5, j0] > 1e-9  # same column, different row
 
-        se = SqueezeExcitation(16, seed=4)
+        se = SqueezeExcitation(16, SeConfig(), seed=4)
         _, g0 = se.forward(x)
         _, g1 = se.forward(xp)
         # the SE gate is a scalar per channel: its change carries no spatial

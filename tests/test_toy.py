@@ -184,6 +184,13 @@ class TestMiniCnn:
         _, state_b, _ = train_toy("ela-b", 5, seed=14)
         assert state_a.history == state_b.history
 
+    def test_none_ignores_case(self):
+        # the no-attention control ignores case, as the registered kinds do
+        model, state, _ = train_toy("NONE", 2, seed=14, train_size=64)
+        _, reference, _ = train_toy("none", 2, seed=14, train_size=64)
+        assert model.cfg.attention is None and model.attn == [None] * 3
+        assert state.history == reference.history
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):
         with pytest.raises(DivergenceError), np.errstate(all="ignore"):
