@@ -12,7 +12,6 @@ from elakit.modules import (
     SeConfig,
     EcaConfig,
     build_attention,
-    ELA_PRESETS,
     MODULE_CHOICES,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "SeConfig",
     "EcaConfig",
     "build_attention",
-    "ELA_PRESETS",
     "MODULE_CHOICES",
 ]
 

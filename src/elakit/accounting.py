@@ -44,9 +44,9 @@ def param_count(kind, channels):
     return lookup(kind)[1].param_count(channels)
 
 
-def param_count_enumerated(kind, channels, seed=0):
+def param_count_enumerated(kind, channels):
     """Oracle: instantiate the module and walk its parameter store."""
-    return build_attention(kind, channels, seed=seed).params.total_params()
+    return build_attention(kind, channels).params.total_params()
 
 
 def flop_count(kind, channels, height, width):

@@ -2,6 +2,9 @@
 
 Layout conventions:
     rank-4 tensors are (N, C, H, W), rank-3 tensors are (N, C, L), row-major.
+The channel kernels (grouped 1D conv, 1x1 conv, batch and group norm) take
+(N,C,L) only: their callers pass strip-pooled maps, SE's (N,C,1) pool or
+ECA's (N,1,C) channel sequence.
 Strip pooling averages over W to produce the height map (N, C, H) and over H
 to produce the width map (N, C, W); the divisor is always the pooled extent.
 All convolutions are cross-correlations (no kernel flip) with zero
@@ -15,12 +18,11 @@ in train mode. Batch norm's momentum and epsilon are the constants
 BN_MOMENTUM and BN_EPS; its backward follows the mode its forward ran in.
 
 Forward kernels index their parameters from the right, so a parameter may
-carry a leading per-sample axis: a weight of shape (N, *shape) or a
-per-channel vector of shape (N, C) broadcasts against the batch, and sample n
+carry a leading per-sample axis: a weight stack is (N, *shape) and a
+per-channel stack is (N, C), read as (N, C, 1) against the batch, so sample n
 reads parameter set n. Backward kernels take one parameter set.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +49,6 @@ def check_ncl(x):
         raise ShapeError(f"expected rank-3 (N,C,L) tensor, got shape {x.shape}")
     if x.size == 0:
         raise ShapeError(f"all dimensions must be >= 1, got {x.shape}")
-
-
-def _per_channel(v, ndim):
-    """A (..., C) vector shaped to broadcast against a rank-`ndim` (N,C,...)
-    tensor; a leading per-sample axis lines up with N."""
-    return v.reshape(v.shape + (1,) * (ndim - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -171,26 +167,22 @@ def conv1d_grouped_backward(dy, x, weight, *, groups):
 # ---------------------------------------------------------------------------
 
 def conv2d_1x1(x, weight, bias=None):
-    """Per-position channel mixing. x is (N,C,...) with any spatial tail."""
-    if x.ndim < 3:
-        raise ShapeError(f"expected at least (N,C,L), got shape {x.shape}")
+    """Per-position channel mixing on (N,C,L)."""
+    check_ncl(x)
     if weight.shape[-1] != x.shape[1]:
         raise ShapeError(
             f"weight expects {weight.shape[-1]} input channels, got {x.shape[1]}"
         )
-    xf = x.reshape(x.shape[0], x.shape[1], -1)
-    out = (weight @ xf).reshape((x.shape[0], weight.shape[-2]) + x.shape[2:])
+    out = weight @ x
     if bias is not None:
-        out += _per_channel(bias, x.ndim)
+        out += bias[..., None]
     return out
 
 
 def conv2d_1x1_backward(dy, x, weight, with_bias=False):
-    dyf = dy.reshape(dy.shape[0], dy.shape[1], -1)
-    xf = x.reshape(x.shape[0], x.shape[1], -1)
-    dx = (weight.T @ dyf).reshape(x.shape)
-    dweight = np.tensordot(dyf, xf, axes=([0, 2], [0, 2]))
-    dbias = dyf.sum(axis=(0, 2)) if with_bias else None
+    dx = weight.T @ dy
+    dweight = np.tensordot(dy, x, axes=([0, 2], [0, 2]))
+    dbias = dy.sum(axis=(0, 2)) if with_bias else None
     return dx, dweight, dbias
 
 
@@ -220,11 +212,6 @@ class NormState:
             self.running_var = np.ones(self.num_channels)
 
 
-def _channel_axes(x):
-    """The axes of (N,C,...) but C."""
-    return (0,) + tuple(range(2, x.ndim))
-
-
 def _standardize(x, axes, eps):
     """(x - mean) / sqrt(var + eps) over `axes`: (xhat, mean, var, inv_std),
     statistics with keepdims. numpy's own variance steps, so bitwise its var,
@@ -242,12 +229,11 @@ def _standardize(x, axes, eps):
 
 
 def _standardize_backward(dy, xhat, gamma, inv_std, view, axes):
-    """Adjoint of gamma * xhat + beta per channel of (N,C,...), xhat being x
+    """Adjoint of gamma * xhat + beta per channel of (N,C,L), xhat being x
     standardized over `axes` of its `view`: (dx, dgamma, dbeta), dx in place."""
-    caxes = _channel_axes(dy)
-    dgamma = (dy * xhat).sum(axis=caxes)
-    dbeta = dy.sum(axis=caxes)
-    dxhat = (dy * _per_channel(gamma, dy.ndim)).reshape(view)
+    dgamma = (dy * xhat).sum(axis=(0, 2))
+    dbeta = dy.sum(axis=(0, 2))
+    dxhat = (dy * gamma[..., None]).reshape(view)
     xhat = xhat.reshape(view)
     m = dxhat.size // inv_std.size  # elements behind each statistic
     dx = m * dxhat
@@ -258,31 +244,32 @@ def _standardize_backward(dy, xhat, gamma, inv_std, view, axes):
 
 
 def batch_norm(x, state, gamma, beta):
-    """Per-channel batch normalization; x is (N,C,...).
+    """Per-channel batch normalization on (N,C,L).
 
-    Train mode normalizes with batch statistics over (N, spatial) and updates
+    Train mode normalizes with batch statistics over (N, L) and updates
     the running estimates; eval mode uses running statistics only, a fixed
     per-channel affine map of x. Returns (out, cache).
     """
-    if x.ndim < 3:
-        raise ShapeError(f"expected at least (N,C,L), got shape {x.shape}")
-    nd, running = x.ndim, state.mode == "eval"  # eval normalizes with the running statistics
+    check_ncl(x)
+    if state.mode not in ("train", "eval"):
+        raise ValueError(f"batch norm mode must be 'train' or 'eval', got {state.mode!r}")
+    running = state.mode == "eval"  # eval normalizes with the running statistics
     if running:
         if not state.initialized:
             raise UninitializedNormError(
                 "eval-mode batch norm called before running statistics exist"
             )
         inv_std = 1.0 / np.sqrt(state.running_var + BN_EPS)
-        xhat = (x - _per_channel(state.running_mean, nd)) * _per_channel(inv_std, nd)
+        xhat = (x - state.running_mean[:, None]) * inv_std[:, None]
     else:
-        if x.shape[0] * math.prod(x.shape[2:]) < 2:
-            raise ShapeError("train-mode batch norm needs N * spatial >= 2")
-        xhat, mean, var, inv_std = _standardize(x, _channel_axes(x), BN_EPS)
+        if x.shape[0] * x.shape[2] < 2:
+            raise ShapeError("train-mode batch norm needs N * L >= 2")
+        xhat, mean, var, inv_std = _standardize(x, (0, 2), BN_EPS)
         m = BN_MOMENTUM
         state.running_mean = (1.0 - m) * state.running_mean + m * mean.reshape(-1)
         state.running_var = (1.0 - m) * state.running_var + m * var.reshape(-1)
         state.initialized = True
-    out = _per_channel(gamma, nd) * xhat + _per_channel(beta, nd)
+    out = gamma[..., None] * xhat + beta[..., None]
     return out, (xhat, inv_std, gamma, running)
 
 
@@ -291,11 +278,10 @@ def batch_norm_backward(dy, cache):
     (dx, dgamma, dbeta). In eval mode the statistics are constants, so dx is
     dy * gamma / sqrt(running_var + eps) per channel."""
     xhat, inv_std, gamma, running = cache
-    caxes = _channel_axes(dy)
     if running:
-        dx = dy * _per_channel(gamma * inv_std, dy.ndim)
-        return dx, (dy * xhat).sum(axis=caxes), dy.sum(axis=caxes)
-    return _standardize_backward(dy, xhat, gamma, inv_std, dy.shape, caxes)
+        dx = dy * (gamma * inv_std)[:, None]
+        return dx, (dy * xhat).sum(axis=(0, 2)), dy.sum(axis=(0, 2))
+    return _standardize_backward(dy, xhat, gamma, inv_std, dy.shape, (0, 2))
 
 
 def group_norm(x, num_groups, gamma, beta, eps=1e-5):
@@ -306,7 +292,7 @@ def group_norm(x, num_groups, gamma, beta, eps=1e-5):
         raise ShapeError(f"num_groups={num_groups} does not divide C={c}")
     xhat, _, _, inv_std = _standardize(x.reshape(n, num_groups, -1), 2, eps)
     xhat = xhat.reshape(x.shape)
-    affine = _per_channel(gamma, 3) * xhat + _per_channel(beta, 3)
+    affine = gamma[..., None] * xhat + beta[..., None]
     return affine, (xhat, inv_std, gamma, num_groups)
 
 
@@ -381,7 +367,7 @@ def broadcast_mul_hw_backward(dy, x, ah, aw):
 # 2D kernels for the toy CNN (invented plumbing, same conventions)
 # ---------------------------------------------------------------------------
 
-def conv2d_same(x, weight, bias=None):
+def conv2d_same(x, weight, bias):
     """Same-padded 2D cross-correlation on (N,C,H,W); odd square kernel."""
     check_nchw(x)
     c_out, c_in, kh, kw = weight.shape
@@ -393,8 +379,7 @@ def conv2d_same(x, weight, bias=None):
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     win = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (N,C,H,W,kh,kw)
     out = np.einsum("nchwij,ocij->nohw", win, weight, optimize=True)
-    if bias is not None:
-        out += bias[None, :, None, None]
+    out += bias[None, :, None, None]
     return out
 
 

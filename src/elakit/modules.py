@@ -70,38 +70,29 @@ class ElaConfig:
         if self.gn_num_groups < 1:
             raise ValueError("gn_num_groups must be >= 1")
 
-    def resolve_conv_groups(self, channels):
+    def sizes(self, c):
+        """(conv groups, GN groups) of a block at C channels; raises for a C
+        that does not fit. GN groups clamp to C so small channel counts stay
+        usable (one channel per group is instance norm), but must divide C."""
         if self.conv_groups_rule == "depthwise":
-            return channels
-        if channels % 8 != 0:
-            raise ValueError(
-                f"channels_over_8 grouping needs C divisible by 8, got C={channels}"
-            )
-        return max(1, channels // 8)
-
-    def resolve_gn_groups(self, channels):
-        # clamp to C so small channel counts stay usable (GN with one channel
-        # per group is instance norm); the clamped value must still divide C
-        groups = min(self.gn_num_groups, channels)
-        if channels % groups != 0:
-            raise ValueError(f"GN groups={groups} does not divide C={channels}")
-        return groups
+            groups = c
+        elif c % 8 == 0:
+            groups = c // 8
+        else:
+            raise ValueError(f"channels_over_8 grouping needs C divisible by 8, got C={c}")
+        gn_groups = min(self.gn_num_groups, c)
+        if c % gn_groups != 0:
+            raise ValueError(f"GN groups={gn_groups} does not divide C={c}")
+        return groups, gn_groups
 
     def param_count(self, c):
-        self.resolve_gn_groups(c)  # validates divisibility
-        return 2 * c * (c // self.resolve_conv_groups(c)) * self.kernel_size + 4 * c
+        groups, _ = self.sizes(c)
+        return 2 * c * (c // groups) * self.kernel_size + 4 * c
 
     def flop_count(self, c, h, w):
-        convs = c * (c // self.resolve_conv_groups(c)) * self.kernel_size * (h + w)
+        groups, _ = self.sizes(c)
+        convs = c * (c // groups) * self.kernel_size * (h + w)
         return _directional_macs(c, h, w) + convs + 4 * c * (h + w)
-
-
-ELA_PRESETS = {
-    "ela-t": ElaConfig(5, "depthwise", 32),
-    "ela-b": ElaConfig(7, "depthwise", 16),
-    "ela-s": ElaConfig(5, "channels_over_8", 16),
-    "ela-l": ElaConfig(7, "channels_over_8", 16),
-}
 
 
 @dataclass(frozen=True)
@@ -261,8 +252,7 @@ class EfficientLocalAttention(_DirectionalBlock):
 
     def _init(self, rng):
         c, k, p = self.channels, self.cfg.kernel_size, self.params
-        self.groups = self.cfg.resolve_conv_groups(c)
-        self.gn_groups = self.cfg.resolve_gn_groups(c)
+        self.groups, self.gn_groups = self.cfg.sizes(c)
         cpg = c // self.groups
         p.add("conv_h.weight", _he_normal(rng, (c, cpg, k), cpg * k))
         p.add("conv_w.weight", _he_normal(rng, (c, cpg, k), cpg * k))
@@ -422,7 +412,10 @@ REGISTRY = {
     "eca": (EfficientChannelAttention, EcaConfig()),
     "ca": (CoordinateAttention, CaConfig(norm_flavor="bn")),
     "ca-gn": (CoordinateAttention, CaConfig(norm_flavor="gn")),
-    **{kind: (EfficientLocalAttention, cfg) for kind, cfg in ELA_PRESETS.items()},
+    "ela-t": (EfficientLocalAttention, ElaConfig(5, "depthwise", 32)),
+    "ela-b": (EfficientLocalAttention, ElaConfig(7, "depthwise", 16)),
+    "ela-s": (EfficientLocalAttention, ElaConfig(5, "channels_over_8", 16)),
+    "ela-l": (EfficientLocalAttention, ElaConfig(7, "channels_over_8", 16)),
 }
 MODULE_CHOICES = tuple(REGISTRY)
 

@@ -149,7 +149,10 @@ class ParamStore:
             arr = _read_tensor(path, data, t)
             if t["name"] in store:
                 raise ValueError(f"{path}: tensor {t['name']!r} appears twice")
-            store.add(t["name"], arr, role=t.get("role", "weight"))
+            role = t.get("role", "weight")
+            if not isinstance(role, str):
+                raise ValueError(f"{path}: tensor {t['name']!r}: role {role!r} is not a string")
+            store.add(t["name"], arr, role=role)
         return store
 
 

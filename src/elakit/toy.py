@@ -96,8 +96,8 @@ class MiniCnn:
     `backward` returns, per stage, the post-attention map that Grad-CAM
     weighs and the gradient of the loss with respect to it."""
 
-    def __init__(self, cfg=None, seed=0):
-        self.cfg = cfg or MiniCnnConfig()
+    def __init__(self, cfg, seed=0):
+        self.cfg = cfg
         rng = np.random.default_rng(seed)
         self.params = ParamStore()
         self.attn = []
@@ -325,8 +325,6 @@ def gradcam(model, x, class_indices, target_stage=-1):
     """
     n = x.shape[0]
     class_indices = np.asarray(class_indices)
-    if class_indices.ndim == 0:
-        class_indices = np.full(n, int(class_indices))
     logits = model.forward(x, keep_intermediates=True)
     if class_indices.min() < 0 or class_indices.max() >= logits.shape[1]:
         raise ValueError("class index out of range")

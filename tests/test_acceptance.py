@@ -16,7 +16,7 @@ from elakit import kernels as K
 from elakit.accounting import PlacementSpec, audit_network, param_count, param_count_enumerated
 from elakit.cli import main
 from elakit.gradcheck import check_module_gradients
-from elakit.modules import ELA_PRESETS, build_attention
+from elakit.modules import build_attention
 from elakit.modules import MODULE_CHOICES as ALL_KINDS
 from elakit.toy import gradcam, localization_hit_rate, make_toy_batch, train_toy
 

@@ -13,6 +13,7 @@ from elakit.accounting import (
     param_count_enumerated,
 )
 from elakit.modules import MODULE_CHOICES as ALL_KINDS
+from elakit.modules import build_attention
 
 CHANNEL_GRID = (16, 64, 256, 512)
 
@@ -53,6 +54,22 @@ class TestParamCount:
             param_count("ela-s", 10)  # channels_over_8 needs C % 8 == 0
         with pytest.raises(ValueError):
             param_count("nonsense", 64)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_counts_reject_exactly_the_channels_a_block_rejects(self, kind):
+        # one sizing path: ELA-B at C=24 has no GN grouping (16 does not
+        # divide 24), so neither the block nor either count may exist
+        def raises(fn, *args):
+            try:
+                fn(kind, *args)
+            except ValueError:
+                return True
+            return False
+
+        for c in range(1, 65):
+            rejected = raises(build_attention, c)
+            assert raises(param_count, c) == rejected, (kind, c)
+            assert raises(flop_count, c, 7, 7) == rejected, (kind, c)
 
 
 class TestFlopCount:

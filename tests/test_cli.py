@@ -129,6 +129,7 @@ MODEL_DEFECTS = {
     "meta-not-an-object": _edit_header(lambda h: h.update(meta=[1])),
     "entry-without-offset": _edit_header(lambda h: h["tensors"][1].pop("offset")),
     "repeated-name": _edit_header(lambda h: h["tensors"][1].update(name=h["tensors"][0]["name"])),
+    "role-not-a-string": _edit_header(lambda h: h["tensors"][0].update(role=[1])),
     "nbytes-past-payload": _edit_header(lambda h: h["tensors"][-1].update(nbytes=40)),
     "stage-channels-abc": _edit_header(lambda h: h["meta"].update(stage_channels="abc")),
     "unknown-attention": _edit_header(lambda h: h["meta"].update(attention="bogus")),

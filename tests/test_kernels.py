@@ -230,6 +230,11 @@ class TestConv1x1:
         with pytest.raises(K.ShapeError):
             K.conv2d_1x1(rand((1, 3, 4)), rand((2, 4)))
 
+    def test_takes_only_ncl(self):
+        # its callers pass CA's (N,C,H+W) strips and SE's (N,C,1) pool
+        with pytest.raises(K.ShapeError):
+            K.conv2d_1x1(rand((1, 3, 2, 2)), rand((2, 3)))
+
 
 class TestBatchNorm:
     def test_eval_identity_stats(self):
@@ -249,6 +254,22 @@ class TestBatchNorm:
         state = K.NormState(2, mode="eval")
         with pytest.raises(K.UninitializedNormError):
             K.batch_norm(rand((1, 2, 3)), state, np.ones(2), np.zeros(2))
+
+    def test_takes_only_ncl(self):
+        # its one caller normalizes CA's (N,mip,H+W) strips
+        with pytest.raises(K.ShapeError):
+            K.batch_norm(rand((2, 3, 2, 2)), K.NormState(3), np.ones(3), np.zeros(3))
+
+    @pytest.mark.parametrize("mode", ["Eval", "TRAIN", "", None])
+    def test_unknown_mode_raises_and_leaves_the_state(self, mode):
+        # checked where the mode is read: it is also set after construction
+        constructed, changed = K.NormState(2, mode=mode), K.NormState(2)
+        changed.mode = mode
+        for state in (constructed, changed):
+            with pytest.raises(ValueError, match="mode"):
+                K.batch_norm(rand((2, 2, 3)), state, np.ones(2), np.zeros(2))
+            np.testing.assert_array_equal(state.running_mean, np.zeros(2))
+            assert not state.initialized
 
     def test_batch_dependence_in_train_not_eval(self):
         # train-mode output for sample 0 changes when sample 1 changes;
@@ -592,7 +613,7 @@ class Test2dToyKernels:
         w = np.zeros((2, 2, 3, 3))
         w[0, 0, 1, 1] = 1.0
         w[1, 1, 1, 1] = 1.0
-        assert np.allclose(K.conv2d_same(x, w), x)
+        assert np.allclose(K.conv2d_same(x, w, np.zeros(2)), x)
 
     def test_conv2d_backward_matches_finite_differences(self):
         x = rand((1, 2, 4, 4), 45)
@@ -650,7 +671,6 @@ def reference_conv2d_1x1_backward(dy, x, weight):
 
 CONV1X1_SHAPES = [
     pytest.param((2, 6, 9), 4, id="ncl"),
-    pytest.param((2, 6, 3, 5), 4, id="nchw"),
     pytest.param((3, 16, 1), 2, id="se-ncl1"),
 ]
 
@@ -792,7 +812,6 @@ PER_SAMPLE_CASES = {
     "conv1d_eca": (lambda x, w: K.conv1d_grouped(x, w, groups=1),
                    rand((3, 1, 16), 1), [rand((1, 1, 3), 2)]),
     "conv2d_1x1_strips": (K.conv2d_1x1, rand((3, 16, 12), 1), [rand((8, 16), 2), rand(8, 3)]),
-    "conv2d_1x1_nchw": (K.conv2d_1x1, rand((3, 16, 5, 7), 1), [rand((8, 16), 2), rand(8, 3)]),
     "group_norm": (lambda x, g, b: K.group_norm(x, 4, g, b)[0],
                    rand((3, 16, 6), 1), [1.0 + rand(16, 2), rand(16, 3)]),
     "batch_norm_eval": (lambda x, g, b: K.batch_norm(x, eval_state(8, 4), g, b)[0],

@@ -10,7 +10,6 @@ from elakit.accounting import flop_count, param_count, param_count_enumerated
 from elakit.cli import build_parser
 from elakit.gradcheck import check_module_gradients, fd_gradient, max_rel_error
 from elakit.modules import (
-    ELA_PRESETS,
     MODULE_CHOICES,
     REGISTRY,
     CaConfig,
@@ -44,20 +43,20 @@ def zero_weights(module):
 
 class TestConfigs:
     def test_presets_match_published_grid(self):
-        assert ELA_PRESETS["ela-t"] == ElaConfig(5, "depthwise", 32)
-        assert ELA_PRESETS["ela-b"] == ElaConfig(7, "depthwise", 16)
-        assert ELA_PRESETS["ela-s"] == ElaConfig(5, "channels_over_8", 16)
-        assert ELA_PRESETS["ela-l"] == ElaConfig(7, "channels_over_8", 16)
+        assert REGISTRY["ela-t"] == (EfficientLocalAttention, ElaConfig(5, "depthwise", 32))
+        assert REGISTRY["ela-b"] == (EfficientLocalAttention, ElaConfig(7, "depthwise", 16))
+        assert REGISTRY["ela-s"] == (EfficientLocalAttention, ElaConfig(5, "channels_over_8", 16))
+        assert REGISTRY["ela-l"] == (EfficientLocalAttention, ElaConfig(7, "channels_over_8", 16))
 
     def test_group_resolution(self):
-        cfg = ELA_PRESETS["ela-s"]
-        assert cfg.resolve_conv_groups(64) == 8
+        cfg = REGISTRY["ela-s"][1]
+        assert cfg.sizes(64) == (8, 16)
         with pytest.raises(ValueError):
-            cfg.resolve_conv_groups(10)
+            cfg.sizes(10)
 
     def test_gn_groups_clamped_to_channels(self):
-        assert ELA_PRESETS["ela-t"].resolve_gn_groups(16) == 16
-        assert ELA_PRESETS["ela-t"].resolve_gn_groups(512) == 32
+        assert REGISTRY["ela-t"][1].sizes(16) == (16, 16)
+        assert REGISTRY["ela-t"][1].sizes(512) == (512, 32)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -115,21 +114,21 @@ class TestRegistry:
                 fn("nonsense", *args)
             messages.add(str(err.value))
         assert len(messages) == 1
-        assert build_attention("ELA-B", 16).cfg == ELA_PRESETS["ela-b"]
+        assert build_attention("ELA-B", 16).cfg == REGISTRY["ela-b"][1]
         assert param_count("ELA-B", 16) == param_count("ela-b", 16)
         assert flop_count("ELA-B", 16, 5, 7) == flop_count("ela-b", 16, 5, 7)
 
 
 class TestInitParams:
     def test_deterministic_per_seed(self):
-        a = EfficientLocalAttention(32, ELA_PRESETS["ela-b"], seed=5).params
-        b = EfficientLocalAttention(32, ELA_PRESETS["ela-b"], seed=5).params
+        a = EfficientLocalAttention(32, REGISTRY["ela-b"][1], seed=5).params
+        b = EfficientLocalAttention(32, REGISTRY["ela-b"][1], seed=5).params
         assert a.names() == b.names()
         for name in a.names():
             assert np.array_equal(a.value(name), b.value(name))
 
     def test_ela_b_store_contents_at_512(self):
-        m = EfficientLocalAttention(512, ELA_PRESETS["ela-b"], seed=0)
+        m = EfficientLocalAttention(512, REGISTRY["ela-b"][1], seed=0)
         shapes = {name: m.params.value(name).shape for name in m.params.names()}
         assert shapes == {
             "conv_h.weight": (512, 1, 7),
@@ -141,7 +140,7 @@ class TestInitParams:
         }
 
     def test_norm_params_start_at_identity(self):
-        m = EfficientLocalAttention(16, ELA_PRESETS["ela-b"], seed=0)
+        m = EfficientLocalAttention(16, REGISTRY["ela-b"][1], seed=0)
         assert np.all(m.params.value("gn_h.gamma") == 1.0)
         assert np.all(m.params.value("gn_h.beta") == 0.0)
 
@@ -180,7 +179,7 @@ class TestReferenceComposition:
     def test_ela_matches_straight_line_pipeline(self):
         # independent recomposition of the forward map, no module code shared
         x = rand((2, 16, 5, 7), 6)
-        m = EfficientLocalAttention(16, ELA_PRESETS["ela-b"], seed=7)
+        m = EfficientLocalAttention(16, REGISTRY["ela-b"][1], seed=7)
         y, maps = m.forward(x)
         p = m.params
         zh = x.mean(axis=3)
@@ -253,7 +252,7 @@ class TestStructuralInvariants:
 
     def test_ela_keeps_full_channel_width(self):
         # no channel dimensionality reduction: every intermediate carries C
-        m = EfficientLocalAttention(32, ELA_PRESETS["ela-b"], seed=0)
+        m = EfficientLocalAttention(32, REGISTRY["ela-b"][1], seed=0)
         x = rand((1, 32, 4, 4), 13)
         m.forward(x, keep_intermediates=True)
         _, zh, zw, ch, cw, *_ = m._cache
@@ -289,7 +288,7 @@ class TestStructuralInvariants:
         i0, j0 = 2, 3
         eps = 1e-3
 
-        ela = EfficientLocalAttention(16, ELA_PRESETS["ela-b"], seed=4)
+        ela = EfficientLocalAttention(16, REGISTRY["ela-b"][1], seed=4)
         y0, _ = ela.forward(x)
         xp = x.copy()
         xp[0, 0, i0, j0] += eps

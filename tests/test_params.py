@@ -98,6 +98,18 @@ def test_header_length_past_the_end_named_with_both_sizes(tmp_path):
     )
 
 
+def test_role_not_a_string_named_with_the_tensor(tmp_path):
+    path = tmp_path / "store.elak"
+    make_store().save(path)
+    blob = path.read_bytes()
+    header = blob[16:16 + int.from_bytes(blob[8:16], "little")]
+    edited = header.replace(b'"role": "norm"', b'"role": [1]   ', 1)
+    path.write_bytes(blob[:16] + edited + blob[16 + len(header):])
+    with pytest.raises(ValueError) as info:
+        ParamStore.load(path)
+    assert str(info.value) == f"{path}: tensor 'gn.gamma': role [1] is not a string"
+
+
 def test_adopt_shares_entries_under_prefix():
     inner = make_store()
     outer = ParamStore()

@@ -274,6 +274,10 @@ class TestGradCam:
         maps = gradcam(model, data.images[:6], data.labels[:6])
         assert maps.shape == (6, 32, 32)
         assert maps.min() >= 0.0 and maps.max() <= 1.0
+        # a scalar class index broadcasts over the batch
+        np.testing.assert_array_equal(
+            gradcam(model, data.images[:6], 1), gradcam(model, data.images[:6], np.ones(6, int))
+        )
 
     def test_invalid_class_and_stage(self):
         model, _, data = train_toy("none", 1, seed=19)
