@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage/parse error, 3 numeric
 divergence. Commands return 0 or 1 and raise on bad input; `main` alone
-turns an error into its exit code and one `error:` line. All file outputs
-are written atomically (temp file + rename).
+turns an error into its exit code and one `error:` line. Each command puts
+its outputs on disk in one `atomic_write_files` call, after all of them are
+computed, so a command that fails writes nothing.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import numpy as np
 from elakit.accounting import PlacementSpec, audit_network
 from elakit.gradcheck import DEFAULT_TOL, check_module_gradients
 from elakit.modules import MODULE_CHOICES, build_attention
-from elakit.params import atomic_write_files, atomic_write_text
+from elakit.params import atomic_write_files
 from elakit.toy import (
     DivergenceError,
     MiniCnn,
@@ -25,8 +26,8 @@ from elakit.toy import (
     gradcam,
     history_csv,
     make_toy_batch,
+    pgm_bytes,
     train_toy,
-    write_pgm,
 )
 
 EXIT_OK = 0
@@ -87,6 +88,8 @@ def build_parser():
 
 
 def cmd_audit(args):
+    if args.json_out and os.path.realpath(args.json_out) == os.path.realpath(args.out):
+        raise ValueError(f"--out and --json-out name the same file: {args.out}")
     report = audit_network(PlacementSpec.from_json_file(args.config))
     outputs = {args.out: report.to_csv().encode("utf-8")}
     if args.json_out:
@@ -152,7 +155,7 @@ def cmd_bench(args):
         lines.append(
             f"{args.module},{label},{args.reps},{stats[0]:.6e},{stats[1]:.6e},{stats[2]:.6e}"
         )
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write_files({args.out: ("\n".join(lines) + "\n").encode("utf-8")})
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -163,17 +166,14 @@ def cmd_train_toy(args):
     model, state, data = train_toy(
         args.attention, args.steps, args.seed, batch_size=args.batch_size, lr=args.lr,
     )
-    os.makedirs(args.out, exist_ok=True)
-    atomic_write_text(os.path.join(args.out, "loss.csv"), history_csv(state.history))
-    model.save(os.path.join(args.out, "model.elak"))
-    if args.steps == 0:
-        print("no training steps requested; wrote header-only loss.csv")
-        return EXIT_OK
     acc = evaluate(model, data.images, data.labels)
-    atomic_write_text(
-        os.path.join(args.out, "final.json"),
-        json.dumps({"steps": args.steps, "train_accuracy": acc}, indent=2) + "\n",
-    )
+    final = json.dumps({"steps": args.steps, "train_accuracy": acc}, indent=2) + "\n"
+    os.makedirs(args.out, exist_ok=True)
+    atomic_write_files({
+        os.path.join(args.out, "loss.csv"): history_csv(state.history).encode("utf-8"),
+        os.path.join(args.out, "model.elak"): model.params.to_bytes(),
+        os.path.join(args.out, "final.json"): final.encode("utf-8"),
+    })
     print(f"final train accuracy {acc:.4f} after {args.steps} steps")
     return EXIT_OK
 
@@ -185,8 +185,9 @@ def cmd_gradcam(args):
     batch = make_toy_batch(args.samples, seed=args.seed, size=model.cfg.input_shape[1])
     maps = gradcam(model, batch.images, batch.labels)
     os.makedirs(args.out, exist_ok=True)
-    for i in range(args.samples):
-        write_pgm(os.path.join(args.out, f"heatmap_{i:03d}.pgm"), maps[i])
+    atomic_write_files({
+        os.path.join(args.out, f"heatmap_{i:03d}.pgm"): pgm_bytes(m) for i, m in enumerate(maps)
+    })
     print(f"wrote {args.samples} heatmaps to {args.out}")
     return EXIT_OK
 

@@ -16,6 +16,7 @@ Each forward kernel has a matching `*_backward` that is the exact adjoint;
 all are pure functions except `batch_norm`, which updates running statistics
 in train mode. Batch norm's momentum and epsilon are the constants
 BN_MOMENTUM and BN_EPS; its backward follows the mode its forward ran in.
+Group norm's epsilon is the constant GN_EPS.
 
 Forward kernels index their parameters from the right, so a parameter may
 carry a leading per-sample axis: a weight stack is (N, *shape) and a
@@ -179,11 +180,10 @@ def conv2d_1x1(x, weight, bias=None):
     return out
 
 
-def conv2d_1x1_backward(dy, x, weight, with_bias=False):
+def conv2d_1x1_backward(dy, x, weight):
     dx = weight.T @ dy
     dweight = np.tensordot(dy, x, axes=([0, 2], [0, 2]))
-    dbias = dy.sum(axis=(0, 2)) if with_bias else None
-    return dx, dweight, dbias
+    return dx, dweight, dy.sum(axis=(0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +193,7 @@ def conv2d_1x1_backward(dy, x, weight, with_bias=False):
 # batch norm's running-statistics momentum and variance epsilon
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
+GN_EPS = 1e-5  # group norm's variance epsilon
 
 
 @dataclass
@@ -284,13 +285,13 @@ def batch_norm_backward(dy, cache):
     return _standardize_backward(dy, xhat, gamma, inv_std, dy.shape, (0, 2))
 
 
-def group_norm(x, num_groups, gamma, beta, eps=1e-5):
+def group_norm(x, num_groups, gamma, beta):
     """Per-sample group normalization on (N,C,L); returns (out, cache)."""
     check_ncl(x)
     n, c, _ = x.shape
     if c % num_groups != 0:
         raise ShapeError(f"num_groups={num_groups} does not divide C={c}")
-    xhat, _, _, inv_std = _standardize(x.reshape(n, num_groups, -1), 2, eps)
+    xhat, _, _, inv_std = _standardize(x.reshape(n, num_groups, -1), 2, GN_EPS)
     xhat = xhat.reshape(x.shape)
     affine = gamma[..., None] * xhat + beta[..., None]
     return affine, (xhat, inv_std, gamma, num_groups)

@@ -266,9 +266,9 @@ class EfficientLocalAttention(_DirectionalBlock):
         cw = K.conv1d_grouped(zw, p.value("conv_w.weight"), groups=self.groups)
         nh, cache_h = K.group_norm(ch, self.gn_groups, p.value("gn_h.gamma"), p.value("gn_h.beta"))
         nw, cache_w = K.group_norm(cw, self.gn_groups, p.value("gn_w.gamma"), p.value("gn_w.beta"))
-        return nh, nw, (zh, zw, ch, cw, cache_h, cache_w)
+        return nh, nw, (zh, zw, cache_h, cache_w)
 
-    def _logits_backward(self, dnh, dnw, zh, zw, ch, cw, cache_h, cache_w):
+    def _logits_backward(self, dnh, dnw, zh, zw, cache_h, cache_w):
         p, dz = self.params, []
         for d, dn, z, cache in (("h", dnh, zh, cache_h), ("w", dnw, zw, cache_w)):
             dc, dgamma, dbeta = K.group_norm_backward(dn, cache)
@@ -328,13 +328,13 @@ class CoordinateAttention(_DirectionalBlock):
         fh, fw = v[:, :, :h], v[:, :, h:]
         lh = K.conv2d_1x1(fh, p.value("fh.weight"), p.value("fh.bias"))
         lw = K.conv2d_1x1(fw, p.value("fw.weight"), p.value("fw.bias"))
-        return lh, lw, (f_in, u, nu, norm_cache, fh, fw)
+        return lh, lw, (f_in, nu, norm_cache, fh, fw)
 
-    def _logits_backward(self, dlh, dlw, f_in, u, nu, norm_cache, fh, fw):
+    def _logits_backward(self, dlh, dlw, f_in, nu, norm_cache, fh, fw):
         p = self.params
         dv = []
         for d, dl, f in (("h", dlh, fh), ("w", dlw, fw)):
-            df, dw, db = K.conv2d_1x1_backward(dl, f, p.value(f"f{d}.weight"), with_bias=True)
+            df, dw, db = K.conv2d_1x1_backward(dl, f, p.value(f"f{d}.weight"))
             p.accumulate_grad(f"f{d}.weight", dw)
             p.accumulate_grad(f"f{d}.bias", db)
             dv.append(df)

@@ -10,7 +10,7 @@ import errno
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +94,8 @@ class ParamStore:
     def items(self):
         return self._entries.items()
 
-    def save(self, path):
+    def to_bytes(self):
+        """The file `load` reads: magic, header length, header, tensor bytes."""
         tensors = []
         offset = 0
         for name, entry in self._entries.items():
@@ -112,12 +113,11 @@ class ParamStore:
             offset += nbytes
         header = json.dumps({"version": 1, "meta": self.meta, "tensors": tensors})
         header_bytes = header.encode("utf-8")
-        payload = b"".join(
-            np.ascontiguousarray(e.value).tobytes() for e in self._entries.values()
-        )
-        atomic_write_files(
-            {path: MAGIC + len(header_bytes).to_bytes(8, "little") + header_bytes + payload}
-        )
+        payload = b"".join(e.value.tobytes() for e in self._entries.values())
+        return MAGIC + len(header_bytes).to_bytes(8, "little") + header_bytes + payload
+
+    def save(self, path):
+        atomic_write_files({path: self.to_bytes()})
 
     @classmethod
     def load(cls, path):
@@ -187,15 +187,17 @@ def atomic_write_files(files):
     """Write each `path: bytes` item via temp file + rename so interrupted
     runs never leave partials. Every temp file is written before the first
     rename, so a path that cannot be written leaves none of the files.
-    An OSError names its path, not the temp file."""
+    Each file gets the mode `open(path, "wb")` would give it, 0o666 less
+    the umask. An OSError names its path, not the temp file."""
     temps = []
     try:
         for path, data in files.items():
             if os.path.isdir(path):  # rename would fail only after earlier renames
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-            fd, tmp = tempfile.mkstemp(
-                dir=os.path.dirname(os.path.abspath(path)), prefix=".elakit-tmp-"
+            tmp = os.path.join(
+                os.path.dirname(os.path.abspath(path)), f".elakit-tmp-{secrets.token_hex(8)}"
             )
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             temps.append((tmp, path))
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
@@ -207,7 +209,3 @@ def atomic_write_files(files):
         for tmp, _ in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-
-
-def atomic_write_text(path, text):
-    atomic_write_files({path: text.encode("utf-8")})

@@ -14,7 +14,7 @@ import numpy as np
 
 from elakit import kernels as K
 from elakit.modules import build_attention
-from elakit.params import ParamStore, atomic_write_files
+from elakit.params import ParamStore
 
 
 class DivergenceError(RuntimeError):
@@ -179,9 +179,6 @@ class MiniCnn:
             self.params.accumulate_grad(conv + "weight", dw)
             self.params.accumulate_grad(conv + "bias", db)
         return pairs
-
-    def save(self, path):
-        self.params.save(path)
 
     @classmethod
     def load(cls, path):
@@ -356,8 +353,8 @@ def localization_hit_rate(model, batch, radius=6.0, target_stage=-1):
     return float((dist <= radius).mean()), dist
 
 
-def write_pgm(path, heatmap):
-    """Write a [0,1] heatmap as an 8-bit binary portable graymap (P5)."""
+def pgm_bytes(heatmap):
+    """A [0,1] heatmap as an 8-bit binary portable graymap (P5)."""
     arr = np.clip(np.asarray(heatmap) * 255.0, 0.0, 255.0).astype(np.uint8)
     h, w = arr.shape
-    atomic_write_files({path: f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()})
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + arr.tobytes()

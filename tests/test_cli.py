@@ -1,6 +1,8 @@
 """CLI contracts: exit codes, artifact formats, determinism."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 from importlib import resources
@@ -150,7 +152,7 @@ def test_malformed_model_exits_2_with_one_line_naming_it(tmp_path, defect):
 
     good = tmp_path / "good.elak"
     cfg = MiniCnnConfig(stage_channels=(4,), attention="ela-b", input_shape=(1, 8, 8))
-    MiniCnn(cfg).save(good)
+    MiniCnn(cfg).params.save(good)
     bad = tmp_path / "bad.elak"
     bad.write_bytes(defect(good.read_bytes()))
     result = run_cli(["gradcam", "--model", str(bad), "--out", str(tmp_path / "cam")])
@@ -159,6 +161,19 @@ def test_malformed_model_exits_2_with_one_line_naming_it(tmp_path, defect):
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert str(bad) in lines[0]
     assert not (tmp_path / "cam").exists()
+
+
+def _made_dir(path):
+    path.mkdir()
+    return path
+
+
+def _small_model(d):
+    from elakit.toy import MiniCnn, MiniCnnConfig
+
+    path = d / "small.elak"
+    MiniCnn(MiniCnnConfig(stage_channels=(4,), input_shape=(1, 8, 8))).params.save(path)
+    return path
 
 
 # each case maps tmp_path, where `dir` exists, to (argv, the path the error names)
@@ -180,6 +195,13 @@ OS_ERROR_CASES = {
     "audit-json-out-is-a-directory": lambda d: (
         ["audit", "--config", BUNDLED_ELA, "--out", d / "r.csv", "--json-out", d / "dir"],
         d / "dir"),
+    # the outputs before the blocked one are not written either
+    "train-toy-model-is-a-directory": lambda d: (
+        ["train-toy", "--attention", "none", "--steps", "1", "--out", d / "dir"],
+        _made_dir(d / "dir" / "model.elak")),
+    "gradcam-third-heatmap-is-a-directory": lambda d: (
+        ["gradcam", "--model", _small_model(d), "--samples", "4", "--out", d / "dir"],
+        _made_dir(d / "dir" / "heatmap_002.pgm")),
 }
 
 
@@ -187,13 +209,50 @@ OS_ERROR_CASES = {
 def test_os_error_exits_2_with_one_line_naming_the_path(tmp_path, case):
     (tmp_path / "dir").mkdir()
     argv, named = case(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
     result = run_cli(argv)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert str(named) in lines[0]
-    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("alias", ["same-string", "through-a-symlink"])
+def test_audit_out_and_json_out_naming_one_file_exit_2(tmp_path, alias):
+    out = tmp_path / "r.csv"
+    json_out = out
+    if alias == "through-a-symlink":
+        (tmp_path / "link").symlink_to(tmp_path)
+        json_out = tmp_path / "link" / "r.csv"
+    result = run_cli(["audit", "--config", BUNDLED_ELA, "--out", out, "--json-out", json_out])
+    assert result.returncode == 2
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert "--out" in lines[0] and "--json-out" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    # the mode open(path, "wb") would give: 0o666 less the umask
+    run, cam = tmp_path / "run", tmp_path / "cam"
+    old = os.umask(umask)
+    try:
+        assert main(["audit", "--config", BUNDLED_ELA, "--out", str(tmp_path / "r.csv"),
+                     "--json-out", str(tmp_path / "r.json")]) == 0
+        assert main(["bench", "--module", "se", "--shape", "1,8,3,3", "--reps", "10",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+        assert main(["train-toy", "--attention", "none", "--steps", "1",
+                     "--out", str(run)]) == 0
+        assert main(["gradcam", "--model", str(run / "model.elak"), "--samples", "1",
+                     "--out", str(cam)]) == 0
+    finally:
+        os.umask(old)
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert len(files) == 2 + 1 + 3 + 1
+    assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {mode}
 
 
 class TestGradcheck:
@@ -272,6 +331,9 @@ class TestTrainAndCam:
         assert main(["train-toy", "--attention", "none", "--steps", "0",
                      "--seed", "1", "--out", str(out)]) == 0
         assert (out / "loss.csv").read_bytes() == b"step,loss,accuracy\r\n"
+        # the untrained model's accuracy, like any other run's
+        final = json.loads((out / "final.json").read_text())
+        assert final["steps"] == 0 and 0.0 <= final["train_accuracy"] <= 1.0
 
     def test_short_train_then_gradcam(self, tmp_path):
         out = tmp_path / "run"
@@ -330,7 +392,7 @@ class TestTrainAndCam:
 
         model = tmp_path / "small.elak"
         cfg = MiniCnnConfig(stage_channels=(4,), attention="ela-b", input_shape=(1, 8, 8))
-        MiniCnn(cfg, seed=1).save(model)
+        MiniCnn(cfg, seed=1).params.save(model)
         cam = tmp_path / "cam"
         assert main(["gradcam", "--model", str(model), "--samples", "2",
                      "--out", str(cam)]) == 0

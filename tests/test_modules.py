@@ -255,8 +255,8 @@ class TestStructuralInvariants:
         m = EfficientLocalAttention(32, REGISTRY["ela-b"][1], seed=0)
         x = rand((1, 32, 4, 4), 13)
         m.forward(x, keep_intermediates=True)
-        _, zh, zw, ch, cw, *_ = m._cache
-        for t in (zh, zw, ch, cw):
+        _, zh, zw, cache_h, cache_w, *_ = m._cache
+        for t in (zh, zw, cache_h[0], cache_w[0]):  # the strips and GN's xhat
             assert t.shape[1] == 32
 
     def test_ca_bottleneck_narrower_than_input(self):
@@ -264,8 +264,8 @@ class TestStructuralInvariants:
         assert m.mip == 16 < 512
         x = rand((1, 512, 2, 2), 14)
         m.forward(x, keep_intermediates=True)
-        u = m._cache[2]
-        assert u.shape[1] == m.mip
+        nu = m._cache[2]
+        assert nu.shape[1] == m.mip
 
     def test_determinism(self):
         x = rand((2, 16, 4, 5), 15)

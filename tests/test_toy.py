@@ -18,8 +18,8 @@ from elakit.toy import (
     make_toy_batch,
     quadrant_of,
     sgd_step,
+    pgm_bytes,
     train_toy,
-    write_pgm,
 )
 
 
@@ -231,7 +231,7 @@ class TestMiniCnn:
     def test_saved_file_keeps_each_role(self, tmp_path):
         model = self.tiny_model("ca")
         path = tmp_path / "model.elak"
-        model.save(path)
+        model.params.save(path)
         store = ParamStore.load(path)
         assert store.names() == model.params.names()
         roles = {name: store.role(name) for name in store.names()}
@@ -242,7 +242,7 @@ class TestMiniCnn:
     def test_save_load_round_trip(self, tmp_path):
         model, _, data = train_toy("eca", 3, seed=16)
         path = tmp_path / "model.elak"
-        model.save(path)
+        model.params.save(path)
         loaded = MiniCnn.load(path)
         x = data.images[:4]
         assert np.array_equal(model.forward(x), loaded.forward(x))
@@ -337,11 +337,9 @@ class TestGradCam:
                 numeric[index] = (up - down) / (2.0 * step)
             assert max_rel_error(grad[smooth], numeric[smooth]) < 1e-6
 
-    def test_pgm_output(self, tmp_path):
+    def test_pgm_output(self):
         heat = np.linspace(0, 1, 32 * 32).reshape(32, 32)
-        path = tmp_path / "map.pgm"
-        write_pgm(path, heat)
-        blob = path.read_bytes()
+        blob = pgm_bytes(heat)
         assert blob.startswith(b"P5\n32 32\n255\n")
         pixels = blob.split(b"255\n", 1)[1]
         assert len(pixels) == 32 * 32
