@@ -110,7 +110,7 @@ class PlacementSpec:
                 raise ValueError(f"{key!r} must be a number, got {value!r}")
         return cls(
             network=data.get("network", "unnamed"),
-            module=data["module"],
+            module=data["module"].lower(),  # as the registry names it
             sites=sites,
             baseline_params_m=data.get("baseline_params_m"),
             published_total_params_m=data.get("published_total_params_m"),

@@ -8,6 +8,7 @@ computed, so a command that fails writes nothing.
 """
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -67,12 +68,10 @@ def build_parser():
     p_bench.add_argument("--shape", type=_parse_shape, default=(1, 256, 14, 14), metavar="N,C,H,W")
     p_bench.add_argument("--reps", type=int, default=20)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--precision", choices=("f32", "f64"), default="f64")
     p_bench.add_argument("--out", required=True, help="output CSV path")
 
     p_train = sub.add_parser("train-toy", help="train the mini CNN on the quadrant task")
-    p_train.add_argument("--attention", type=str.lower, default="ela-b",
-                         help="module kind or 'none'")
+    p_train.add_argument("--attention", default="ela-b", help="module kind or 'none'")
     p_train.add_argument("--steps", type=int, default=500)
     p_train.add_argument("--seed", type=int, default=7)
     p_train.add_argument("--lr", type=float, default=0.05)
@@ -132,11 +131,10 @@ def cmd_bench(args):
         raise ValueError("--reps must be >= 10")
     n, c, h, w = args.shape
     module = build_attention(args.module, c, seed=args.seed)
-    dtype = np.float32 if args.precision == "f32" else np.float64
     rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    x = rng.standard_normal((n, c, h, w))
     y, _ = module.forward(x, keep_intermediates=True)
-    dy = rng.standard_normal(y.shape).astype(dtype)
+    dy = rng.standard_normal(y.shape)
 
     def timed(fn):
         for _ in range(3):  # warm-up, excluded
@@ -181,6 +179,10 @@ def cmd_train_toy(args):
 def cmd_gradcam(args):
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    # a run with fewer samples would leave the older heatmaps beside its own
+    older = glob.glob(os.path.join(glob.escape(args.out), "heatmap_*.pgm"))
+    if any(map(os.path.isfile, older)):
+        raise ValueError(f"{args.out} already holds heatmaps; choose a new --out")
     model = MiniCnn.load(args.model)
     batch = make_toy_batch(args.samples, seed=args.seed, size=model.cfg.input_shape[1])
     maps = gradcam(model, batch.images, batch.labels)

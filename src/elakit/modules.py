@@ -26,6 +26,9 @@ SIGMOID_COST = 3
 HARD_SWISH_COST = 2
 RELU_COST = 1
 
+REDUCTION_R = 32  # CA's and SE's channel reduction C -> C / r, floored at 8
+ECA_KERNEL_SIZE = 3  # taps of ECA's conv across the channel axis
+
 
 @dataclass
 class AttentionMaps:
@@ -95,69 +98,53 @@ class ElaConfig:
         return _directional_macs(c, h, w) + convs + 4 * c * (h + w)
 
 
-@dataclass(frozen=True)
-class _BottleneckConfig:
-    """The C -> mip channel bottleneck that CA and SE share."""
-
-    reduction_r: int = 32
-
-    def __post_init__(self):
-        if self.reduction_r < 1:
-            raise ValueError("reduction_r must be positive")
-
-    def intermediate_channels(self, channels):
-        return max(8, int(round(channels / self.reduction_r)))
+def intermediate_channels(c):
+    """Width of the C -> mip channel bottleneck that CA and SE share."""
+    return max(8, int(round(c / REDUCTION_R)))
 
 
 @dataclass(frozen=True)
-class CaConfig(_BottleneckConfig):
+class CaConfig:
     norm_flavor: str = "bn"  # bn | gn
 
     def __post_init__(self):
-        super().__post_init__()
         if self.norm_flavor not in ("bn", "gn"):
             raise ValueError(f"unknown norm_flavor {self.norm_flavor!r}")
 
     def resolve_gn_groups(self, channels):
         # groups for the GN flavor over the mip-channel bottleneck; gcd with
         # 16 keeps the count close to common GN settings while dividing mip
-        return math.gcd(self.intermediate_channels(channels), 16)
+        return math.gcd(intermediate_channels(channels), 16)
 
     def param_count(self, c):
-        mip = self.intermediate_channels(c)
+        mip = intermediate_channels(c)
         # F1 (mip x C) + norm affine (2 mip) + F_h/F_w (C x mip + C bias each)
         return mip * c + 2 * mip + 2 * (c * mip + c)
 
     def flop_count(self, c, h, w):
-        mip = self.intermediate_channels(c)
+        mip = intermediate_channels(c)
         # per strip position: F1, norm, hard swish, then F_h or F_w with bias
         per_position = mip * c + 4 * mip + HARD_SWISH_COST * mip + (c * mip + c)
         return _directional_macs(c, h, w) + per_position * (h + w)
 
 
 @dataclass(frozen=True)
-class SeConfig(_BottleneckConfig):
+class SeConfig:
     def param_count(self, c):
-        return 2 * c * self.intermediate_channels(c)
+        return 2 * c * intermediate_channels(c)
 
     def flop_count(self, c, h, w):
-        mip = self.intermediate_channels(c)
+        mip = intermediate_channels(c)
         return _channel_macs(c, h, w) + mip * c + RELU_COST * mip + c * mip
 
 
 @dataclass(frozen=True)
 class EcaConfig:
-    kernel_size: int = 3
-
-    def __post_init__(self):
-        if self.kernel_size % 2 == 0:
-            raise ValueError("ECA kernel size must be odd")
-
     def param_count(self, c):
-        return self.kernel_size
+        return ECA_KERNEL_SIZE
 
     def flop_count(self, c, h, w):
-        return _channel_macs(c, h, w) + self.kernel_size * c
+        return _channel_macs(c, h, w) + ECA_KERNEL_SIZE * c
 
 
 def _he_normal(rng, shape, fan_in):
@@ -189,6 +176,9 @@ class _Block:
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("backward requires forward(keep_intermediates=True)")
+        x = self._cache[0]  # y has the shape of x, and dy must have it too
+        if dy.shape != x.shape:
+            raise K.ShapeError(f"dy shape {dy.shape} differs from the output shape {x.shape}")
         return self._backward(dy, *self._cache)
 
 
@@ -293,7 +283,7 @@ class CoordinateAttention(_DirectionalBlock):
 
     def _init(self, rng):
         c, p = self.channels, self.params
-        self.mip = mip = self.cfg.intermediate_channels(c)
+        self.mip = mip = intermediate_channels(c)
         if self.cfg.norm_flavor == "bn":
             self.norm_state = K.NormState(mip)
         else:
@@ -361,7 +351,7 @@ class SqueezeExcitation(_ChannelBlock):
 
     def _init(self, rng):
         c = self.channels
-        self.mip = mip = self.cfg.intermediate_channels(c)
+        self.mip = mip = intermediate_channels(c)
         self.params.add("fc1.weight", _he_normal(rng, (mip, c), c))
         self.params.add("fc2.weight", _he_normal(rng, (c, mip), mip))
 
@@ -385,7 +375,7 @@ class EfficientChannelAttention(_ChannelBlock):
     """Global pool -> 1D conv of size k across the channel axis -> sigmoid."""
 
     def _init(self, rng):
-        k = self.cfg.kernel_size
+        k = ECA_KERNEL_SIZE
         self.params.add("conv.weight", _he_normal(rng, (1, 1, k), k))
 
     def _logits(self, pooled):

@@ -39,7 +39,6 @@ class ParamStore:
             raise KeyError(f"duplicate parameter name {name!r}")
         value = np.ascontiguousarray(value)
         self._entries[name] = Param(value, np.zeros_like(value), role)
-        return value
 
     def adopt(self, prefix, other):
         """Hold every entry of `other` here as `prefix + name`. The entries are

@@ -70,7 +70,7 @@ def make_toy_batch(n, seed, size=32):
 @dataclass
 class MiniCnnConfig:
     stage_channels: tuple = (16, 32, 64)
-    attention: str | None = None  # a build_attention kind, or None
+    attention: str | None = None  # a build_attention kind in any case; None or 'none' for none
     input_shape: tuple = (1, 32, 32)
 
     def __post_init__(self):
@@ -85,6 +85,9 @@ class MiniCnnConfig:
                 f"stage_channels {self.stage_channels!r} and input_shape (C, H, W) "
                 f"{self.input_shape!r} need positive ints, H == W and H divisible by 2**stages"
             )
+        if isinstance(self.attention, str):  # stored in lower case, as model files record it
+            kind = self.attention.lower()
+            self.attention = None if kind == "none" else kind
 
 
 class MiniCnn:
@@ -224,7 +227,6 @@ def cross_entropy(logits, labels):
 class TrainState:
     lr: float = 0.05
     momentum: float = 0.9
-    step: int = 0
     history: list = field(default_factory=list)  # (step, loss, accuracy)
     velocity: dict = field(default_factory=dict)
 
@@ -238,7 +240,6 @@ def sgd_step(model, state):
         v = state.momentum * v + entry.grad
         state.velocity[name] = v
         entry.value[...] -= state.lr * v
-    state.step += 1
 
 
 def train_toy(
@@ -255,10 +256,7 @@ def train_toy(
     Raises DivergenceError if the loss becomes non-finite.
     """
     data = make_toy_batch(train_size, seed=seed)
-    if attention is not None and attention.lower() == "none":
-        attention = None  # the no-attention control; like the kinds, it ignores case
-    cfg = MiniCnnConfig(attention=attention)
-    model = MiniCnn(cfg, seed=seed)
+    model = MiniCnn(MiniCnnConfig(attention=attention), seed=seed)
     state = TrainState(lr=lr, momentum=momentum)
     order_rng = np.random.default_rng(seed + 1)
     for step in range(steps):
@@ -275,11 +273,14 @@ def train_toy(
     return model, state, data
 
 
-def evaluate(model, images, labels, batch_size=64):
+EVAL_BATCH = 64  # samples per forward pass in evaluate
+
+
+def evaluate(model, images, labels):
     correct = 0
-    for start in range(0, len(labels), batch_size):
-        logits = model.forward(images[start:start + batch_size])
-        correct += int((logits.argmax(axis=1) == labels[start:start + batch_size]).sum())
+    for start in range(0, len(labels), EVAL_BATCH):
+        logits = model.forward(images[start:start + EVAL_BATCH])
+        correct += int((logits.argmax(axis=1) == labels[start:start + EVAL_BATCH]).sum())
     return correct / len(labels)
 
 
@@ -299,8 +300,8 @@ def history_csv(history):
 def bilinear_upsample(a, out_h, out_w):
     """Separable bilinear resize of (..., h, w) with endpoint alignment."""
     h, w = a.shape[-2:]
-    ys = np.linspace(0.0, h - 1.0, out_h) if h > 1 else np.zeros(out_h)
-    xs = np.linspace(0.0, w - 1.0, out_w) if w > 1 else np.zeros(out_w)
+    ys = np.linspace(0.0, h - 1.0, out_h)
+    xs = np.linspace(0.0, w - 1.0, out_w)
     y0 = np.clip(np.floor(ys).astype(int), 0, h - 1)
     y1 = np.clip(y0 + 1, 0, h - 1)
     x0 = np.clip(np.floor(xs).astype(int), 0, w - 1)
@@ -312,11 +313,11 @@ def bilinear_upsample(a, out_h, out_w):
     return top * (1 - wy) + bot * wy
 
 
-def gradcam(model, x, class_indices, target_stage=-1):
+def gradcam(model, x, class_indices):
     """Gradient-weighted class activation heatmaps, one per sample.
 
     Channel weights are the spatial mean of the class-score gradient at the
-    target stage's post-attention activation; the heatmap is the rectified
+    last stage's post-attention activation; the heatmap is the rectified
     weighted activation sum, bilinearly upsampled to the input size and
     min-max normalized to [0, 1] (constant maps become all zeros).
     """
@@ -325,14 +326,10 @@ def gradcam(model, x, class_indices, target_stage=-1):
     logits = model.forward(x, keep_intermediates=True)
     if class_indices.min() < 0 or class_indices.max() >= logits.shape[1]:
         raise ValueError("class index out of range")
-    num_stages = len(model.cfg.stage_channels)
-    stage = target_stage if target_stage >= 0 else num_stages + target_stage
-    if not 0 <= stage < num_stages:
-        raise ValueError(f"invalid target stage {target_stage}")
     dlogits = np.zeros_like(logits)
     dlogits[np.arange(n), class_indices] = 1.0
     model.zero_grads()
-    act, grad = model.backward(dlogits)[stage]
+    act, grad = model.backward(dlogits)[-1]
     weights = grad.mean(axis=(2, 3))  # (N, C)
     cam = np.maximum((weights[:, :, None, None] * act).sum(axis=1), 0.0)
     cam = bilinear_upsample(cam, x.shape[2], x.shape[3])
@@ -342,10 +339,10 @@ def gradcam(model, x, class_indices, target_stage=-1):
     return np.where(span > 0.0, (cam - lo) / np.where(span > 0.0, span, 1.0), 0.0)
 
 
-def localization_hit_rate(model, batch, radius=6.0, target_stage=-1):
+def localization_hit_rate(model, batch, radius=6.0):
     """Fraction of samples whose heatmap argmax lies within `radius` pixels
     of the planted blob center (Grad-CAM taken at the true class)."""
-    maps = gradcam(model, batch.images, batch.labels, target_stage=target_stage)
+    maps = gradcam(model, batch.images, batch.labels)
     n, h, w = maps.shape
     flat_idx = maps.reshape(n, -1).argmax(axis=1)
     peaks = np.stack([flat_idx // w, flat_idx % w], axis=1).astype(float)

@@ -157,6 +157,13 @@ class TestAudit:
         spec = load_bundled("resnet18-ela-b.json")
         assert audit_network(spec).to_json() == audit_network(spec).to_json()
 
+    def test_module_name_is_stored_in_lower_case(self):
+        site = {"name": "a", "channels": 16, "height": 4, "width": 4}
+        spec = PlacementSpec.from_dict({"module": "ELA-B", "sites": [site]})
+        assert spec.module == "ela-b"
+        lines = audit_network(spec).to_csv().strip().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["ela-b"] * 3
+
     def test_duplicate_site_names_rejected(self):
         with pytest.raises(ValueError):
             PlacementSpec.from_dict(

@@ -321,7 +321,7 @@ class TestBench:
         for module in ("ela-b", "se"):
             out = tmp_path / f"{module}.csv"
             assert main(["bench", "--module", module, "--shape", "1,16,6,6",
-                         "--reps", "10", "--precision", "f32", "--out", str(out)]) == 0
+                         "--reps", "10", "--out", str(out)]) == 0
             assert len(out.read_text().strip().splitlines()) == 3
 
 
@@ -402,6 +402,21 @@ class TestTrainAndCam:
             blob = p.read_bytes()
             assert blob.startswith(b"P5\n8 8\n255\n")
             assert len(blob.split(b"255\n", 1)[1]) == 8 * 8
+
+    def test_gradcam_refuses_an_out_that_holds_heatmaps(self, tmp_path, capsys):
+        # a second run with fewer samples would leave the first run's later heatmaps
+        run, cam = tmp_path / "run", tmp_path / "cam"
+        assert main(["train-toy", "--attention", "none", "--steps", "0",
+                     "--seed", "1", "--out", str(run)]) == 0
+        assert main(["gradcam", "--model", str(run / "model.elak"), "--samples", "3",
+                     "--out", str(cam)]) == 0
+        before = {p.name: p.read_bytes() for p in cam.iterdir()}
+        capsys.readouterr()
+        assert main(["gradcam", "--model", str(run / "model.elak"), "--samples", "1",
+                     "--seed", "9", "--out", str(cam)]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and str(cam) in lines[0]
+        assert {p.name: p.read_bytes() for p in cam.iterdir()} == before
 
     def test_gradcam_missing_model_exits_2(self, tmp_path):
         assert main(["gradcam", "--model", str(tmp_path / "nope.elak"),

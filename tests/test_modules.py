@@ -21,6 +21,7 @@ from elakit.modules import (
     SeConfig,
     SqueezeExcitation,
     build_attention,
+    intermediate_channels,
 )
 
 
@@ -63,19 +64,8 @@ class TestConfigs:
             ElaConfig(kernel_size=4)
 
     def test_ca_intermediate_channels(self):
-        assert CaConfig(reduction_r=32).intermediate_channels(64) == 8
-        assert CaConfig(reduction_r=32).intermediate_channels(512) == 16
-        assert SeConfig(reduction_r=32).intermediate_channels(512) == 16
-
-    @pytest.mark.parametrize("config", [CaConfig, SeConfig])
-    @pytest.mark.parametrize("reduction_r", [0, -4])
-    def test_non_positive_reduction_rejected(self, config, reduction_r):
-        with pytest.raises(ValueError, match="reduction_r"):
-            config(reduction_r=reduction_r)
-
-    def test_eca_even_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            EcaConfig(kernel_size=4)
+        assert intermediate_channels(64) == 8
+        assert intermediate_channels(512) == 16
 
 
 class TestRegistry:
@@ -260,7 +250,7 @@ class TestStructuralInvariants:
             assert t.shape[1] == 32
 
     def test_ca_bottleneck_narrower_than_input(self):
-        m = CoordinateAttention(512, CaConfig(reduction_r=32), seed=0)
+        m = CoordinateAttention(512, CaConfig(), seed=0)
         assert m.mip == 16 < 512
         x = rand((1, 512, 2, 2), 14)
         m.forward(x, keep_intermediates=True)
@@ -353,6 +343,16 @@ class TestGradients:
         m = build_attention("se", 16, seed=0)
         with pytest.raises(RuntimeError):
             m.backward(rand((1, 16, 2, 2)))
+
+    @pytest.mark.parametrize("kind", MODULE_CHOICES)
+    def test_backward_rejects_dy_of_another_shape(self, kind):
+        # numpy would broadcast each of these against the (2,16,5,7) output
+        m = build_attention(kind, 16, seed=0)
+        m.forward(rand((2, 16, 5, 7), 26), keep_intermediates=True)
+        for shape in ((1, 16, 5, 7), (16, 5, 7), (5, 7)):
+            with pytest.raises(K.ShapeError) as err:
+                m.backward(rand(shape, 27))
+            assert str(shape) in str(err.value) and "(2, 16, 5, 7)" in str(err.value)
 
     def test_zero_conv_weight_ela_dx_against_fd(self):
         x = rand((1, 8, 3, 3), 22)
