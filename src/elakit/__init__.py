@@ -5,24 +5,4 @@ layout, double precision by default. Every kernel has an explicit forward and
 an explicit vector-Jacobian backward; there is no autograd tape.
 """
 
-from elakit.params import ParamStore
-from elakit.modules import (
-    ElaConfig,
-    CaConfig,
-    SeConfig,
-    EcaConfig,
-    build_attention,
-    MODULE_CHOICES,
-)
-
-__all__ = [
-    "ParamStore",
-    "ElaConfig",
-    "CaConfig",
-    "SeConfig",
-    "EcaConfig",
-    "build_attention",
-    "MODULE_CHOICES",
-]
-
 __version__ = "0.1.0"

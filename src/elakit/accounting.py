@@ -23,6 +23,7 @@ records exactly what this audit assumed.
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 
 # the activation costs are re-exported beside the formula sheet they follow
@@ -106,10 +107,16 @@ class PlacementSpec:
                 raise ValueError(f"site {site.name!r}: {exc}") from None
         for key in ("baseline_params_m", "published_total_params_m"):
             value = data.get(key)
-            if value is not None and type(value) not in (int, float):
-                raise ValueError(f"{key!r} must be a number, got {value!r}")
+            # NaN, Infinity and an int beyond the float range all fail the bound
+            if value is not None and not (
+                type(value) in (int, float) and abs(value) <= sys.float_info.max
+            ):
+                raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+        network = data.get("network", "unnamed")
+        if not isinstance(network, str):
+            raise ValueError(f"'network' must be a string, got {network!r}")
         return cls(
-            network=data.get("network", "unnamed"),
+            network=network,
             module=data["module"].lower(),  # as the registry names it
             sites=sites,
             baseline_params_m=data.get("baseline_params_m"),
@@ -166,6 +173,7 @@ class AuditReport:
                 "reconciliation": self.reconciliation,
             },
             indent=2,
+            allow_nan=False,  # strict JSON: NaN and Infinity are not JSON tokens
         )
 
 
@@ -187,12 +195,13 @@ def audit_network(spec):
     if spec.baseline_params_m is not None and spec.published_total_params_m is not None:
         published_delta_m = spec.published_total_params_m - spec.baseline_params_m
         our_delta_m = total_params / 1e6
-        ratio = our_delta_m / published_delta_m if published_delta_m > 0 else float("inf")
+        # a published total at or below the baseline has no ratio to report
+        ratio = our_delta_m / published_delta_m if published_delta_m > 0 else None
         reconciliation = {
             "published_delta_params_m": round(published_delta_m, 6),
             "audit_delta_params_m": round(our_delta_m, 6),
-            "ratio": round(ratio, 4),
-            "within_2x": bool(0.5 <= ratio <= 2.0) if published_delta_m > 0 else False,
+            "ratio": None if ratio is None else round(ratio, 4),
+            "within_2x": ratio is not None and 0.5 <= ratio <= 2.0,
             "note": (
                 "published insertion details are unknown; agreement within a "
                 "x2 band is the acceptance bar, exact equality is not expected"

@@ -61,13 +61,11 @@ def build_parser():
     p_gc.add_argument("--module", required=True, type=str.lower, choices=MODULE_CHOICES)
     p_gc.add_argument("--shape", type=_parse_shape, default=(2, 16, 5, 7), metavar="N,C,H,W")
     p_gc.add_argument("--seed", type=int, default=0)
-    p_gc.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p_bench = sub.add_parser("bench", help="forward/backward wall-time statistics")
     p_bench.add_argument("--module", required=True, type=str.lower, choices=MODULE_CHOICES)
     p_bench.add_argument("--shape", type=_parse_shape, default=(1, 256, 14, 14), metavar="N,C,H,W")
     p_bench.add_argument("--reps", type=int, default=20)
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", required=True, help="output CSV path")
 
     p_train = sub.add_parser("train-toy", help="train the mini CNN on the quadrant task")
@@ -75,7 +73,6 @@ def build_parser():
     p_train.add_argument("--steps", type=int, default=500)
     p_train.add_argument("--seed", type=int, default=7)
     p_train.add_argument("--lr", type=float, default=0.05)
-    p_train.add_argument("--batch-size", type=int, default=32)
     p_train.add_argument("--out", required=True, help="output directory")
 
     p_cam = sub.add_parser("gradcam", help="emit PGM heatmaps from a trained model")
@@ -119,8 +116,8 @@ def cmd_gradcheck(args):
     width = max(len(k) for k in errors)
     ok = True
     for name, err in errors.items():
-        status = "ok" if err < args.tol else "FAIL"
-        ok &= err < args.tol
+        status = "ok" if err < DEFAULT_TOL else "FAIL"
+        ok &= err < DEFAULT_TOL
         print(f"{name:<{width}}  max rel err {err:.3e}  {status}")
     print(f"gradcheck {args.module} shape={args.shape}: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -130,8 +127,8 @@ def cmd_bench(args):
     if args.reps < 10:
         raise ValueError("--reps must be >= 10")
     n, c, h, w = args.shape
-    module = build_attention(args.module, c, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
+    module = build_attention(args.module, c, seed=0)
+    rng = np.random.default_rng(0)
     x = rng.standard_normal((n, c, h, w))
     y, _ = module.forward(x, keep_intermediates=True)
     dy = rng.standard_normal(y.shape)
@@ -161,9 +158,7 @@ def cmd_bench(args):
 def cmd_train_toy(args):
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
-    model, state, data = train_toy(
-        args.attention, args.steps, args.seed, batch_size=args.batch_size, lr=args.lr,
-    )
+    model, state, data = train_toy(args.attention, args.steps, args.seed, lr=args.lr)
     acc = evaluate(model, data.images, data.labels)
     final = json.dumps({"steps": args.steps, "train_accuracy": acc}, indent=2) + "\n"
     os.makedirs(args.out, exist_ok=True)

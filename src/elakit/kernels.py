@@ -38,16 +38,12 @@ class UninitializedNormError(RuntimeError):
     """Eval-mode batch norm requested before any running statistics exist."""
 
 
-def check_nchw(x):
-    if x.ndim != 4:
-        raise ShapeError(f"expected rank-4 (N,C,H,W) tensor, got shape {x.shape}")
-    if x.size == 0:
-        raise ShapeError(f"all dimensions must be >= 1, got {x.shape}")
-
-
-def check_ncl(x):
-    if x.ndim != 3:
-        raise ShapeError(f"expected rank-3 (N,C,L) tensor, got shape {x.shape}")
+def _check(x, layout):
+    """Raise ShapeError unless x has one axis per letter of `layout`, all >= 1."""
+    if x.ndim != len(layout):
+        raise ShapeError(
+            f"expected rank-{len(layout)} ({','.join(layout)}) tensor, got shape {x.shape}"
+        )
     if x.size == 0:
         raise ShapeError(f"all dimensions must be >= 1, got {x.shape}")
 
@@ -58,13 +54,13 @@ def check_ncl(x):
 
 def strip_pool_h(x):
     """Directional average over W: (N,C,H,W) -> (N,C,H)."""
-    check_nchw(x)
+    _check(x, "NCHW")
     return (x @ np.ones(x.shape[3], dtype=x.dtype)) / x.shape[3]
 
 
 def strip_pool_w(x):
     """Directional average over H: (N,C,H,W) -> (N,C,W)."""
-    check_nchw(x)
+    _check(x, "NCHW")
     return (np.ones(x.shape[2], dtype=x.dtype) @ x) / x.shape[2]
 
 
@@ -89,7 +85,7 @@ def strip_pool_backward(dz, orig_shape, pooled_axis):
 
 def global_avg_pool(x):
     """Mean over H*W per channel: (N,C,H,W) -> (N,C,1)."""
-    check_nchw(x)
+    _check(x, "NCHW")
     n, c, h, w = x.shape
     return ((x.reshape(n, c, h * w) @ np.ones(h * w, dtype=x.dtype)) / (h * w))[:, :, None]
 
@@ -129,7 +125,7 @@ def conv1d_grouped(x, weight, *, groups):
 
     weight has shape (C_out, C_in/groups, k) with odd k; output length == L.
     """
-    check_ncl(x)
+    _check(x, "NCL")
     n, c_in, length = x.shape
     c_out, cpg, k = weight.shape[-3:]
     if k % 2 == 0:
@@ -169,7 +165,7 @@ def conv1d_grouped_backward(dy, x, weight, *, groups):
 
 def conv2d_1x1(x, weight, bias=None):
     """Per-position channel mixing on (N,C,L)."""
-    check_ncl(x)
+    _check(x, "NCL")
     if weight.shape[-1] != x.shape[1]:
         raise ShapeError(
             f"weight expects {weight.shape[-1]} input channels, got {x.shape[1]}"
@@ -251,7 +247,7 @@ def batch_norm(x, state, gamma, beta):
     the running estimates; eval mode uses running statistics only, a fixed
     per-channel affine map of x. Returns (out, cache).
     """
-    check_ncl(x)
+    _check(x, "NCL")
     if state.mode not in ("train", "eval"):
         raise ValueError(f"batch norm mode must be 'train' or 'eval', got {state.mode!r}")
     running = state.mode == "eval"  # eval normalizes with the running statistics
@@ -287,7 +283,7 @@ def batch_norm_backward(dy, cache):
 
 def group_norm(x, num_groups, gamma, beta):
     """Per-sample group normalization on (N,C,L); returns (out, cache)."""
-    check_ncl(x)
+    _check(x, "NCL")
     n, c, _ = x.shape
     if c % num_groups != 0:
         raise ShapeError(f"num_groups={num_groups} does not divide C={c}")
@@ -339,7 +335,7 @@ def relu_backward(dy, x):
 
 def broadcast_mul_hw(x, ah, aw):
     """Y[n,c,i,j] = x[n,c,i,j] * ah[n,c,i] * aw[n,c,j]."""
-    check_nchw(x)
+    _check(x, "NCHW")
     n, c, h, w = x.shape
     if ah.shape != (n, c, h) or aw.shape != (n, c, w):
         raise ShapeError(
@@ -370,7 +366,7 @@ def broadcast_mul_hw_backward(dy, x, ah, aw):
 
 def conv2d_same(x, weight, bias):
     """Same-padded 2D cross-correlation on (N,C,H,W); odd square kernel."""
-    check_nchw(x)
+    _check(x, "NCHW")
     c_out, c_in, kh, kw = weight.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"kernel dims must be odd, got {kh}x{kw}")
@@ -403,7 +399,7 @@ def conv2d_same_backward(dy, x, weight, with_bias=False):
 
 def avg_pool_2x2(x):
     """Non-overlapping 2x2 average pooling; H and W must be even."""
-    check_nchw(x)
+    _check(x, "NCHW")
     h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"H and W must be even for 2x2 pooling, got {h}x{w}")

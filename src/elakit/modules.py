@@ -111,11 +111,6 @@ class CaConfig:
         if self.norm_flavor not in ("bn", "gn"):
             raise ValueError(f"unknown norm_flavor {self.norm_flavor!r}")
 
-    def resolve_gn_groups(self, channels):
-        # groups for the GN flavor over the mip-channel bottleneck; gcd with
-        # 16 keeps the count close to common GN settings while dividing mip
-        return math.gcd(intermediate_channels(channels), 16)
-
     def param_count(self, c):
         mip = intermediate_channels(c)
         # F1 (mip x C) + norm affine (2 mip) + F_h/F_w (C x mip + C bias each)
@@ -288,7 +283,9 @@ class CoordinateAttention(_DirectionalBlock):
             self.norm_state = K.NormState(mip)
         else:
             self.norm_state = None
-            self.gn_groups = self.cfg.resolve_gn_groups(c)
+            # groups for the GN flavor over the mip-channel bottleneck; gcd with
+            # 16 keeps the count close to common GN settings while dividing mip
+            self.gn_groups = math.gcd(mip, 16)
         p.add("f1.weight", _he_normal(rng, (mip, c), c))
         p.add("norm.gamma", np.ones(mip), role="norm")
         p.add("norm.beta", np.zeros(mip), role="norm")

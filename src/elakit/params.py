@@ -179,7 +179,10 @@ def _read_tensor(path, data, entry):
             f"{path}: tensor {name!r}: {nbytes!r} bytes at offset {offset!r} do not "
             f"hold shape {shape} in the {len(data)}-byte payload"
         )
-    return np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
+    arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: tensor {name!r} holds a non-finite value")
+    return arr
 
 
 def atomic_write_files(files):

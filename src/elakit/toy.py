@@ -234,10 +234,7 @@ class TrainState:
 def sgd_step(model, state):
     """One SGD-with-momentum update from the accumulated gradients."""
     for name, entry in model.params.items():
-        v = state.velocity.get(name)
-        if v is None:
-            v = np.zeros_like(entry.grad)
-        v = state.momentum * v + entry.grad
+        v = state.momentum * state.velocity.get(name, 0.0) + entry.grad
         state.velocity[name] = v
         entry.value[...] -= state.lr * v
 
@@ -339,15 +336,18 @@ def gradcam(model, x, class_indices):
     return np.where(span > 0.0, (cam - lo) / np.where(span > 0.0, span, 1.0), 0.0)
 
 
-def localization_hit_rate(model, batch, radius=6.0):
-    """Fraction of samples whose heatmap argmax lies within `radius` pixels
+HIT_RADIUS = 6.0  # pixels between a heatmap's peak and the blob center that count as a hit
+
+
+def localization_hit_rate(model, batch):
+    """Fraction of samples whose heatmap argmax lies within HIT_RADIUS pixels
     of the planted blob center (Grad-CAM taken at the true class)."""
     maps = gradcam(model, batch.images, batch.labels)
     n, h, w = maps.shape
     flat_idx = maps.reshape(n, -1).argmax(axis=1)
     peaks = np.stack([flat_idx // w, flat_idx % w], axis=1).astype(float)
     dist = np.linalg.norm(peaks - batch.centers, axis=1)
-    return float((dist <= radius).mean()), dist
+    return float((dist <= HIT_RADIUS).mean()), dist
 
 
 def pgm_bytes(heatmap):

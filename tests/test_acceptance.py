@@ -157,7 +157,7 @@ def test_criterion_7_toy_training_and_localization():
     acc = evaluate(model, data.images, data.labels)
     assert acc >= 0.95, f"train accuracy {acc}"
     held_out = make_toy_batch(100, seed=12345)
-    rate, dist = localization_hit_rate(model, held_out, radius=6.0)
+    rate, dist = localization_hit_rate(model, held_out)
     assert rate >= 0.80, f"localization hit rate {rate}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0, f"toy run took {elapsed:.0f}s"

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+import struct
 import subprocess
 import sys
 from importlib import resources
@@ -60,6 +61,22 @@ class TestAudit:
         }))
         assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
 
+    def test_published_total_below_baseline_gives_strict_json(self, tmp_path):
+        cfg = tmp_path / "shrunk.json"
+        cfg.write_text(json.dumps({
+            "module": "se", "sites": [{"name": "a", "channels": 64, "height": 4, "width": 4}],
+            "baseline_params_m": 11.7, "published_total_params_m": 11.0,
+        }))
+        jout = tmp_path / "r.json"
+        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                     "--json-out", str(jout)]) == 0
+
+        def refuse(token):
+            raise AssertionError(f"{token} is not a JSON token")
+
+        rec = json.loads(jout.read_text(), parse_constant=refuse)["reconciliation"]
+        assert rec["ratio"] is None and rec["within_2x"] is False
+
 
 PLACEMENT_DEFECTS = {
     "top-level-list": [{"module": "se", "sites": []}],
@@ -69,6 +86,21 @@ PLACEMENT_DEFECTS = {
         "module": "se", "sites": [], "baseline_params_m": "x", "published_total_params_m": 11.7,
     },
     "unknown-module": {"module": "bogus", "sites": []},
+    # json.dumps writes these as the tokens NaN and Infinity, which json.loads reads
+    "baseline-nan": {
+        "module": "se", "sites": [], "baseline_params_m": float("nan"),
+        "published_total_params_m": 11.7,
+    },
+    "published-infinity": {
+        "module": "se", "sites": [], "baseline_params_m": 11.7,
+        "published_total_params_m": float("inf"),
+    },
+    # past the float range, so no delta can be formed from it
+    "baseline-huge-int": {
+        "module": "se", "sites": [], "baseline_params_m": 10**400,
+        "published_total_params_m": 11.7,
+    },
+    "network-not-a-string": {"network": ["resnet"], "module": "se", "sites": []},
     "fractional-dim": {
         "module": "se", "sites": [{"name": "a", "channels": 64.7, "height": 4, "width": 4}],
     },
@@ -121,6 +153,13 @@ def _edit_header(edit):
     return defect
 
 
+def _nan_in_first_tensor(blob):
+    """The model file `blob` with its first (float64) tensor's first element set to NaN."""
+    n = int.from_bytes(blob[8:16], "little")
+    at = 16 + n + json.loads(blob[16:16 + n])["tensors"][0]["offset"]
+    return blob[:at] + struct.pack("<d", float("nan")) + blob[at + 8:]
+
+
 MODEL_DEFECTS = {
     "bad-magic": lambda blob: b"NOTELAKT" + blob[8:],
     "truncated-header": lambda blob: blob[:40],
@@ -143,6 +182,8 @@ MODEL_DEFECTS = {
     "non-square-input": _edit_header(lambda h: h["meta"].update(input_shape=[1, 8, 4])),
     # the stage's 2x2 pool needs an even H; the head's tensor shapes still fit
     "input-not-divisible": _edit_header(lambda h: h["meta"].update(input_shape=[1, 9, 9])),
+    # well formed, but the heatmaps it gives are all zeros
+    "non-finite-tensor": _nan_in_first_tensor,
 }
 
 
@@ -253,6 +294,19 @@ def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
     files = [p for p in tmp_path.rglob("*") if p.is_file()]
     assert len(files) == 2 + 1 + 3 + 1
     assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {mode}
+
+
+# options that no caller passed; argparse rejects each as a usage error
+@pytest.mark.parametrize("option, argv", [
+    ("--tol", lambda d: ["gradcheck", "--module", "se", "--tol", "1"]),
+    ("--seed", lambda d: ["bench", "--module", "se", "--seed", "1", "--out", d / "b.csv"]),
+    ("--batch-size", lambda d: ["train-toy", "--batch-size", "8", "--out", d / "run"]),
+], ids=["gradcheck-tol", "bench-seed", "train-toy-batch-size"])
+def test_removed_options_are_usage_errors(tmp_path, option, argv):
+    result = run_cli(argv(tmp_path))
+    assert result.returncode == 2
+    assert f"error: unrecognized arguments: {option} " in result.stderr
+    assert not any(tmp_path.iterdir())
 
 
 class TestGradcheck:
