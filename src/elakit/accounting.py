@@ -23,6 +23,7 @@ records exactly what this audit assumed.
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -112,6 +113,13 @@ class PlacementSpec:
                 type(value) in (int, float) and abs(value) <= sys.float_info.max
             ):
                 raise ValueError(f"{key!r} must be a finite number, got {value!r}")
+        figures = data.get("published_total_params_m"), data.get("baseline_params_m")
+        if None not in figures:
+            published, baseline = map(float, figures)
+            # the audit reports their difference, which can overflow although both are finite
+            if not math.isfinite(published - baseline):
+                raise ValueError("'published_total_params_m' minus 'baseline_params_m' "
+                                 f"is not finite: {published!r} - {baseline!r}")
         network = data.get("network", "unnamed")
         if not isinstance(network, str):
             raise ValueError(f"'network' must be a string, got {network!r}")

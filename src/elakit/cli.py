@@ -1,10 +1,11 @@
 """Command-line entry point: audit, gradcheck, bench, train-toy, gradcam.
 
-Exit codes: 0 success, 1 check failure, 2 usage/parse error, 3 numeric
-divergence. Commands return 0 or 1 and raise on bad input; `main` alone
-turns an error into its exit code and one `error:` line. Each command puts
-its outputs on disk in one `atomic_write_files` call, after all of them are
-computed, so a command that fails writes nothing.
+Exit codes: 0 success, 1 check failure, 2 usage/parse error or a size
+that cannot be allocated, 3 numeric divergence. Commands return 0 or 1 and
+raise on bad input; `main` alone turns an error into its exit code and one
+`error:` line. Each command puts its outputs on disk in one
+`atomic_write_files` call, after all of them are computed, so a command that
+fails writes nothing.
 """
 
 import argparse
@@ -207,7 +208,7 @@ def main(argv=None):
     except OSError as exc:  # a missing file, a directory, an unwritable output
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
         code = EXIT_USAGE
-    except ValueError as exc:  # bad options, configs, shapes and file contents
+    except (ValueError, MemoryError) as exc:  # bad options, shapes, files; sizes beyond memory
         message, code = exc, EXIT_USAGE
     print(f"error: {message}", file=sys.stderr)
     return code

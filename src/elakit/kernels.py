@@ -304,7 +304,9 @@ def group_norm_backward(dy, cache):
 # ---------------------------------------------------------------------------
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp(-x) overflows to inf below about -709, where 1 / (1 + inf) is the exact 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid_backward(dy, s):

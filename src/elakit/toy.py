@@ -201,6 +201,8 @@ class MiniCnn:
                     raise ValueError(f"unexpected tensor {name!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: not a MiniCnn model file: {exc}") from None
+        except MemoryError as exc:  # sizes in the meta too large to allocate
+            raise MemoryError(f"{path}: {exc}") from None
         return model
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from elakit import kernels
 from elakit.cli import main
+from elakit.modules import MODULE_CHOICES
 
 BUNDLED_ELA = str(resources.files("elakit") / "data" / "resnet18-ela-b.json")
 
@@ -100,6 +101,16 @@ PLACEMENT_DEFECTS = {
         "module": "se", "sites": [], "baseline_params_m": 10**400,
         "published_total_params_m": 11.7,
     },
+    # two finite figures whose difference, the published delta, overflows
+    "delta-overflows": {
+        "module": "se", "sites": [], "baseline_params_m": -1.7e308,
+        "published_total_params_m": 1.7e308,
+    },
+    # the same as JSON integers, whose exact difference no float can hold
+    "delta-overflows-int": {
+        "module": "se", "sites": [], "baseline_params_m": -17 * 10**307,
+        "published_total_params_m": 17 * 10**307,
+    },
     "network-not-a-string": {"network": ["resnet"], "module": "se", "sites": []},
     "fractional-dim": {
         "module": "se", "sites": [{"name": "a", "channels": 64.7, "height": 4, "width": 4}],
@@ -124,6 +135,17 @@ def test_malformed_placement_exits_2_with_one_line(tmp_path, placement):
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
     assert str(cfg) in lines[0]
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_overflowing_delta_names_both_figures(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(PLACEMENT_DEFECTS["delta-overflows"]))
+    result = run_cli(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                      "--json-out", str(tmp_path / "r.json")])
+    assert result.returncode == 2
+    assert "'published_total_params_m'" in result.stderr
+    assert "'baseline_params_m'" in result.stderr
+    assert not any(p.name.startswith("r.") for p in tmp_path.iterdir())
 
 
 def test_site_rejected_by_module_names_the_file_and_the_site(tmp_path):
@@ -184,6 +206,9 @@ MODEL_DEFECTS = {
     "input-not-divisible": _edit_header(lambda h: h["meta"].update(input_shape=[1, 9, 9])),
     # well formed, but the heatmaps it gives are all zeros
     "non-finite-tensor": _nan_in_first_tensor,
+    # the first conv weight alone would take 6.4 PiB, beyond any address space
+    "stage-channels-beyond-memory": _edit_header(
+        lambda h: h["meta"].update(stage_channels=[10**14])),
 }
 
 
@@ -260,6 +285,34 @@ def test_os_error_exits_2_with_one_line_naming_the_path(tmp_path, case):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def _placement_with_channels(d, channels):
+    path = d / "huge.json"
+    site = {"name": "a", "channels": channels, "height": 1, "width": 1}
+    path.write_text(json.dumps({"module": "ela-b", "sites": [site]}))
+    return path
+
+
+# 10**14 channels: the first array alone is 4.9 PiB, beyond any address space,
+# so the allocation fails at once
+BEYOND_MEMORY = {
+    "audit-site-channels": lambda d: [
+        "audit", "--config", _placement_with_channels(d, 10**14), "--out", d / "r.csv"],
+    "gradcheck-shape": lambda d: [
+        "gradcheck", "--module", "ela-b", "--shape", f"1,{10**14},1,1"],
+}
+
+
+@pytest.mark.parametrize("case", BEYOND_MEMORY.values(), ids=BEYOND_MEMORY)
+def test_size_beyond_memory_exits_2_with_one_line(tmp_path, case):
+    argv = case(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    result = run_cli(argv)
+    assert result.returncode == 2
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("alias", ["same-string", "through-a-symlink"])
 def test_audit_out_and_json_out_naming_one_file_exit_2(tmp_path, alias):
     out = tmp_path / "r.csv"
@@ -310,8 +363,9 @@ def test_removed_options_are_usage_errors(tmp_path, option, argv):
 
 
 class TestGradcheck:
-    def test_passes_for_ela_b(self, capsys):
-        code = main(["gradcheck", "--module", "ela-b", "--shape", "2,16,5,7",
+    @pytest.mark.parametrize("kind", MODULE_CHOICES)
+    def test_passes_for_each_kind(self, capsys, kind):
+        code = main(["gradcheck", "--module", kind, "--shape", "2,16,5,7",
                      "--seed", "1"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out

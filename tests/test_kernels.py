@@ -1,6 +1,7 @@
 """Kernel-level forward oracles and finite-difference backward checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -518,6 +519,13 @@ class TestActivations:
         x = rand((50,), 32)
         assert np.max(np.abs(K.sigmoid(x) + K.sigmoid(-x) - 1.0)) < 1e-12
         assert np.all((K.sigmoid(x) > 0) & (K.sigmoid(x) < 1))
+
+    def test_sigmoid_is_silent_where_exp_overflows(self):
+        # exp(1000) overflows, and 1 / (1 + inf) is the exact limit 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = K.sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+        assert np.array_equal(s, [0.0, 0.5, 1.0])
 
     def test_hard_swish_values(self):
         assert K.hard_swish(np.array(-4.0)) == 0.0

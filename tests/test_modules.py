@@ -1,6 +1,7 @@
 """Attention module contracts: registry, fixed points, oracles, gradients, structure."""
 
 import argparse
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,19 @@ class TestStructuralInvariants:
             y, _ = build_attention(kind, 16, seed=0).forward(x)
             assert y.shape == x.shape
             assert np.all(np.isfinite(y))
+
+    @pytest.mark.parametrize("kind", ["se", "eca"])
+    def test_channel_gates_stay_finite_and_silent_at_large_inputs(self, kind):
+        # no norm precedes their sigmoid, so its logits grow with the input
+        m = build_attention(kind, 16, seed=0)
+        x = 1e4 * rand((2, 16, 5, 7), 18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, aux = m.forward(x, keep_intermediates=True)
+            dx = m.backward(rand(y.shape, 19))
+        assert np.any(aux.gate == 0.0)
+        assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
+        assert all(np.all(np.isfinite(m.params.grad(n))) for n in m.params.names())
 
     def test_long_range_vs_channel_only_response(self):
         # a point perturbation must spread along the pierced row/column for
