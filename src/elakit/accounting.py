@@ -192,7 +192,10 @@ def audit_network(spec):
     enumeration_ok = True
     for site in spec.sites:
         params = param_count(spec.module, site.channels)
-        enumerated = param_count_enumerated(spec.module, site.channels)
+        try:
+            enumerated = param_count_enumerated(spec.module, site.channels)
+        except MemoryError as exc:
+            raise MemoryError(f"site {site.name!r}: {exc}") from None
         if params != enumerated:
             enumeration_ok = False
         rows.append((site.name, params, flop_count(spec.module, site.channels, site.height, site.width)))

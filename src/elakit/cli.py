@@ -11,6 +11,7 @@ fails writes nothing.
 import argparse
 import glob
 import json
+import math
 import os
 import sys
 import time
@@ -87,7 +88,11 @@ def build_parser():
 def cmd_audit(args):
     if args.json_out and os.path.realpath(args.json_out) == os.path.realpath(args.out):
         raise ValueError(f"--out and --json-out name the same file: {args.out}")
-    report = audit_network(PlacementSpec.from_json_file(args.config))
+    spec = PlacementSpec.from_json_file(args.config)
+    try:
+        report = audit_network(spec)
+    except MemoryError as exc:  # a site too large to build for the enumeration oracle
+        raise MemoryError(f"{args.config}: {exc}") from None
     outputs = {args.out: report.to_csv().encode("utf-8")}
     if args.json_out:
         outputs[args.json_out] = report.to_json().encode("utf-8")
@@ -159,6 +164,8 @@ def cmd_bench(args):
 def cmd_train_toy(args):
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
+    if not math.isfinite(args.lr):
+        raise ValueError(f"--lr must be finite, got {args.lr}")
     model, state, data = train_toy(args.attention, args.steps, args.seed, lr=args.lr)
     acc = evaluate(model, data.images, data.labels)
     final = json.dumps({"steps": args.steps, "train_accuracy": acc}, indent=2) + "\n"

@@ -119,29 +119,30 @@ def _group_columns(a, groups, k):
     return win.reshape(n, groups, length, cpg * k)
 
 
-def conv1d_grouped(x, weight, *, groups):
+def conv1d_grouped(x, weight):
     """Grouped same-padded 1D cross-correlation on (N,C,L), without bias (the
     1D convs of ELA and ECA carry none).
 
-    weight has shape (C_out, C_in/groups, k) with odd k; output length == L.
+    weight has shape (C_out, C_in/groups, k) with odd k, so it fixes
+    groups = C_in / weight.shape[-2]; output length == L.
     """
     _check(x, "NCL")
     n, c_in, length = x.shape
     c_out, cpg, k = weight.shape[-3:]
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {k}")
-    if c_in % groups != 0 or c_out % groups != 0:
-        raise ShapeError(f"groups={groups} must divide C_in={c_in} and C_out={c_out}")
-    if cpg != c_in // groups:
+    if cpg == 0 or c_in % cpg != 0 or c_out % (c_in // cpg) != 0:
         raise ShapeError(
-            f"weight expects {cpg} channels per group, input provides {c_in // groups}"
+            f"a weight of {cpg} channels per group does not split C_in={c_in} "
+            f"and C_out={c_out} into equal groups"
         )
+    groups = c_in // cpg
     wmat = weight.reshape(weight.shape[:-3] + (groups, c_out // groups, cpg * k))
     out = _group_columns(x, groups, k) @ wmat.swapaxes(-1, -2)  # (N, G, L, C_out/G)
     return out.transpose(0, 1, 3, 2).reshape(n, c_out, length).astype(x.dtype, copy=False)
 
 
-def conv1d_grouped_backward(dy, x, weight, *, groups):
+def conv1d_grouped_backward(dy, x, weight):
     """Adjoint of conv1d_grouped: returns (dx, dweight).
 
     dx correlates the same-padded dy windows with the flipped kernel.
@@ -150,6 +151,7 @@ def conv1d_grouped_backward(dy, x, weight, *, groups):
     c_out, cpg, k = weight.shape
     if dy.shape != (n, c_out, length):
         raise ShapeError(f"dy shape {dy.shape} inconsistent with forward output")
+    groups = c_in // cpg
     opg = c_out // groups
     dweight = (dy.reshape(n, groups, opg, length) @ _group_columns(x, groups, k)).sum(axis=0)
     dweight = dweight.reshape(weight.shape).astype(weight.dtype, copy=False)

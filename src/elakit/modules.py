@@ -237,8 +237,8 @@ class EfficientLocalAttention(_DirectionalBlock):
 
     def _init(self, rng):
         c, k, p = self.channels, self.cfg.kernel_size, self.params
-        self.groups, self.gn_groups = self.cfg.sizes(c)
-        cpg = c // self.groups
+        groups, self.gn_groups = self.cfg.sizes(c)
+        cpg = c // groups
         p.add("conv_h.weight", _he_normal(rng, (c, cpg, k), cpg * k))
         p.add("conv_w.weight", _he_normal(rng, (c, cpg, k), cpg * k))
         for d in ("h", "w"):
@@ -247,8 +247,8 @@ class EfficientLocalAttention(_DirectionalBlock):
 
     def _logits(self, zh, zw):
         p = self.params
-        ch = K.conv1d_grouped(zh, p.value("conv_h.weight"), groups=self.groups)
-        cw = K.conv1d_grouped(zw, p.value("conv_w.weight"), groups=self.groups)
+        ch = K.conv1d_grouped(zh, p.value("conv_h.weight"))
+        cw = K.conv1d_grouped(zw, p.value("conv_w.weight"))
         nh, cache_h = K.group_norm(ch, self.gn_groups, p.value("gn_h.gamma"), p.value("gn_h.beta"))
         nw, cache_w = K.group_norm(cw, self.gn_groups, p.value("gn_w.gamma"), p.value("gn_w.beta"))
         return nh, nw, (zh, zw, cache_h, cache_w)
@@ -259,9 +259,7 @@ class EfficientLocalAttention(_DirectionalBlock):
             dc, dgamma, dbeta = K.group_norm_backward(dn, cache)
             p.accumulate_grad(f"gn_{d}.gamma", dgamma)
             p.accumulate_grad(f"gn_{d}.beta", dbeta)
-            dzd, dw = K.conv1d_grouped_backward(
-                dc, z, p.value(f"conv_{d}.weight"), groups=self.groups
-            )
+            dzd, dw = K.conv1d_grouped_backward(dc, z, p.value(f"conv_{d}.weight"))
             p.accumulate_grad(f"conv_{d}.weight", dw)
             dz.append(dzd)
         return dz
@@ -377,12 +375,12 @@ class EfficientChannelAttention(_ChannelBlock):
 
     def _logits(self, pooled):
         seq = pooled.transpose(0, 2, 1)  # (N,1,C): channels as the sequence
-        v = K.conv1d_grouped(seq, self.params.value("conv.weight"), groups=1)
+        v = K.conv1d_grouped(seq, self.params.value("conv.weight"))
         return v.transpose(0, 2, 1), (seq,)
 
     def _logits_backward(self, dv, seq):
         dseq, dw = K.conv1d_grouped_backward(
-            dv.transpose(0, 2, 1), seq, self.params.value("conv.weight"), groups=1
+            dv.transpose(0, 2, 1), seq, self.params.value("conv.weight")
         )
         self.params.accumulate_grad("conv.weight", dw)
         return dseq.transpose(0, 2, 1)

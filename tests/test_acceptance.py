@@ -9,7 +9,6 @@ import time
 from importlib import resources
 
 import numpy as np
-import pytest
 
 from elakit import gradcheck
 from elakit import kernels as K
@@ -18,7 +17,7 @@ from elakit.cli import main
 from elakit.gradcheck import check_module_gradients
 from elakit.modules import build_attention
 from elakit.modules import MODULE_CHOICES as ALL_KINDS
-from elakit.toy import gradcam, localization_hit_rate, make_toy_batch, train_toy
+from elakit.toy import evaluate, localization_hit_rate, make_toy_batch, train_toy
 
 
 def report(criterion, detail):
@@ -72,20 +71,24 @@ def test_criterion_3_zero_weight_fixed_points():
         m = build_attention(kind, 16, seed=0)
         for name in ("conv_h.weight", "conv_w.weight"):
             m.params.set_value(name, np.zeros_like(m.params.value(name)))
-        y, _ = m.forward(x)
+        y, maps = m.forward(x)
+        assert np.all(maps.ah == 0.5) and np.all(maps.aw == 0.5), kind
         assert np.max(np.abs(y - 0.25 * x)) < 1e-12, kind
     for kind in ("ca", "ca-gn"):
         m = build_attention(kind, 16, seed=5)  # F1 left random on purpose
         for name in ("fh.weight", "fw.weight", "fh.bias", "fw.bias"):
             m.params.set_value(name, np.zeros_like(m.params.value(name)))
-        y, _ = m.forward(x)
+        y, maps = m.forward(x)
+        assert np.all(maps.ah == 0.5) and np.all(maps.aw == 0.5), kind
         assert np.max(np.abs(y - 0.25 * x)) < 1e-12, kind
     se = build_attention("se", 16, seed=0)
     for name in se.params.names():
         se.params.set_value(name, np.zeros_like(se.params.value(name)))
-    y, _ = se.forward(x)
+    y, gate = se.forward(x)
+    assert np.all(gate.gate == 0.5)
     assert np.max(np.abs(y - 0.5 * x)) < 1e-12
-    report(3, "ELA/CA -> 0.25x and SE -> 0.5x at zero weights, within 1e-12")
+    report(3, "every gate exactly 0.5 at zero weights: ELA/CA -> 0.25x and SE -> 0.5x "
+              "within 1e-12")
 
 
 def test_criterion_4_normalization_contracts():
@@ -152,8 +155,6 @@ def test_criterion_6_published_table_reconciliation():
 def test_criterion_7_toy_training_and_localization():
     t0 = time.perf_counter()
     model, state, data = train_toy("ela-b", 500, seed=7, batch_size=32, lr=0.05)
-    from elakit.toy import evaluate
-
     acc = evaluate(model, data.images, data.labels)
     assert acc >= 0.95, f"train accuracy {acc}"
     held_out = make_toy_batch(100, seed=12345)

@@ -52,13 +52,6 @@ class TestStripPool:
         assert np.allclose(dx, 0.25)
         assert np.allclose(K.strip_pool_backward(np.zeros((1, 1, 3)), (1, 1, 3, 4), 3), 0.0)
 
-    def test_backward_matches_finite_differences(self):
-        x = rand((1, 2, 3, 4), 3)
-        dz = rand((1, 2, 3), 4)
-        dx = K.strip_pool_backward(dz, x.shape, pooled_axis=3)
-        numeric = fd_gradient(lambda v: float(np.sum(K.strip_pool_h(v) * dz)), x)
-        assert max_rel_error(dx, numeric) < 1e-6
-
     def test_backward_is_read_only_view(self):
         dz = rand((1, 2, 3), 5)
         for dx in (K.strip_pool_backward(dz, (1, 2, 3, 4), pooled_axis=3),
@@ -122,16 +115,16 @@ class TestConv1dGrouped:
         x = rand((2, 4, 6))
         w = np.zeros((4, 1, 3))
         w[:, 0, 1] = 1.0
-        assert np.allclose(K.conv1d_grouped(x, w, groups=4), x)
+        assert np.allclose(K.conv1d_grouped(x, w), x)
 
     def test_zero_weights(self):
         x = rand((1, 4, 5))
-        assert np.allclose(K.conv1d_grouped(x, np.zeros((4, 2, 3)), groups=2), 0.0)
+        assert np.allclose(K.conv1d_grouped(x, np.zeros((4, 2, 3))), 0.0)
 
     def test_matches_triple_loop_oracle(self):
         x = rand((1, 2, 4), 5)
         w = rand((2, 2, 3), 6)
-        out = K.conv1d_grouped(x, w, groups=1)
+        out = K.conv1d_grouped(x, w)
         expected = np.zeros((1, 2, 4))
         pad = 1
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
@@ -145,7 +138,7 @@ class TestConv1dGrouped:
 
     def test_backward_zero_dy(self):
         x, w = rand((1, 4, 5)), rand((4, 1, 3))
-        dx, dw = K.conv1d_grouped_backward(np.zeros((1, 4, 5)), x, w, groups=4)
+        dx, dw = K.conv1d_grouped_backward(np.zeros((1, 4, 5)), x, w)
         assert not dx.any() and not dw.any()
 
     def test_dweight_center_loop_oracle(self):
@@ -153,35 +146,19 @@ class TestConv1dGrouped:
         dy = rand((1, 3, 5), 8)
         w = np.zeros((3, 1, 3))
         w[:, 0, 1] = 1.0
-        _, dw = K.conv1d_grouped_backward(dy, x, w, groups=3)
+        _, dw = K.conv1d_grouped_backward(dy, x, w)
         for c in range(3):
             assert np.isclose(dw[c, 0, 1], np.sum(dy[0, c] * x[0, c]))
-
-    @pytest.mark.parametrize("groups", [1, 2, 4])
-    def test_backward_matches_finite_differences(self, groups):
-        x = rand((2, 4, 6), 9)
-        w = rand((4, 4 // groups, 3), 10)
-        dy = rand((2, 4, 6), 11)
-
-        def loss_x(v):
-            return float(np.sum(K.conv1d_grouped(v, w, groups=groups) * dy))
-
-        def loss_w(v):
-            return float(np.sum(K.conv1d_grouped(x, v, groups=groups) * dy))
-
-        dx, dw = K.conv1d_grouped_backward(dy, x, w, groups=groups)
-        assert max_rel_error(dx, fd_gradient(loss_x, x)) < 1e-6
-        assert max_rel_error(dw, fd_gradient(loss_w, w)) < 1e-6
 
     @pytest.mark.parametrize("case", CONV1D_CASES)
     def test_matches_per_group_loop_reference(self, case):
         x_shape, w_shape, groups = CONV1D_CASES[case]
         x, w = rand(x_shape, 12), rand(w_shape, 13)
-        out = K.conv1d_grouped(x, w, groups=groups)
+        out = K.conv1d_grouped(x, w)
         np.testing.assert_allclose(out, reference_conv1d_grouped(x, w, groups),
                                    rtol=1e-12, atol=1e-12)
         dy = rand(out.shape, 14)
-        dx, dw = K.conv1d_grouped_backward(dy, x, w, groups=groups)
+        dx, dw = K.conv1d_grouped_backward(dy, x, w)
         ref_dx, ref_dw = reference_conv1d_grouped_backward(dy, x, w, groups)
         np.testing.assert_allclose(dx, ref_dx, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=1e-12)
@@ -190,17 +167,21 @@ class TestConv1dGrouped:
     def test_float32_input_keeps_float32(self, w_dtype):
         x = rand((2, 8, 6), 15).astype(np.float32)
         w = rand((8, 2, 3), 16).astype(w_dtype)
-        out = K.conv1d_grouped(x, w, groups=4)
+        out = K.conv1d_grouped(x, w)
         assert out.dtype == np.float32
-        dx, dw = K.conv1d_grouped_backward(out, x, w, groups=4)
+        dx, dw = K.conv1d_grouped_backward(out, x, w)
         assert dx.dtype == np.float32
         assert dw.dtype == w_dtype
 
     def test_preconditions(self):
-        with pytest.raises(K.ShapeError):
-            K.conv1d_grouped(rand((1, 4, 5)), rand((4, 1, 4)), groups=4)  # even k
-        with pytest.raises(K.ShapeError):
-            K.conv1d_grouped(rand((1, 4, 5)), rand((4, 1, 3)), groups=3)  # 3 !| 4
+        # the weight fixes groups = C_in / its channels per group
+        for w_shape in ((4, 1, 4),   # even k
+                        (4, 3, 3),   # 3 channels per group do not split C_in=4
+                        (4, 8, 3),   # nor do 8
+                        (4, 0, 3),   # nor do 0
+                        (3, 2, 3)):  # 2 groups do not split C_out=3
+            with pytest.raises(K.ShapeError):
+                K.conv1d_grouped(rand((1, 4, 5)), rand(w_shape))
 
 
 class TestConv1x1:
@@ -212,20 +193,6 @@ class TestConv1x1:
         x = rand((1, 2, 4))
         out = K.conv2d_1x1(x, np.array([[1.0, 1.0]]))
         assert np.allclose(out[0, 0], x[0, 0] + x[0, 1])
-
-    def test_backward_matches_finite_differences(self):
-        x = rand((2, 3, 4), 12)
-        w = rand((5, 3), 13)
-        b = rand((5,), 14)
-        dy = rand((2, 5, 4), 15)
-
-        def loss(inp, weight, bias):
-            return float(np.sum(K.conv2d_1x1(inp, weight, bias) * dy))
-
-        dx, dw, db = K.conv2d_1x1_backward(dy, x, w)
-        assert max_rel_error(dx, fd_gradient(lambda v: loss(v, w, b), x)) < 1e-6
-        assert max_rel_error(dw, fd_gradient(lambda v: loss(x, v, b), w)) < 1e-6
-        assert max_rel_error(db, fd_gradient(lambda v: loss(x, w, v), b)) < 1e-6
 
     def test_channel_mismatch(self):
         with pytest.raises(K.ShapeError):
@@ -272,24 +239,6 @@ class TestBatchNorm:
             np.testing.assert_array_equal(state.running_mean, np.zeros(2))
             assert not state.initialized
 
-    def test_batch_dependence_in_train_not_eval(self):
-        # train-mode output for sample 0 changes when sample 1 changes;
-        # eval-mode output does not
-        gamma, beta = np.ones(2), np.zeros(2)
-        x = rand((2, 2, 4), 16)
-        x2 = x.copy()
-        x2[1] += 1.0
-
-        state = K.NormState(2)
-        out_a, _ = K.batch_norm(x, state, gamma, beta)
-        out_b, _ = K.batch_norm(x2, state, gamma, beta)
-        assert np.max(np.abs(out_a[0] - out_b[0])) > 1e-3
-
-        state.mode = "eval"
-        ev_a, _ = K.batch_norm(x, state, gamma, beta)
-        ev_b, _ = K.batch_norm(x2, state, gamma, beta)
-        assert np.array_equal(ev_a[0], ev_b[0])
-
     def test_running_stats_update(self):
         assert K.BN_MOMENTUM == 0.1
         state = K.NormState(1)
@@ -298,40 +247,15 @@ class TestBatchNorm:
         assert np.isclose(state.running_mean[0], 0.9 * 0.0 + 0.1 * x.mean())
         assert state.initialized
 
-    def test_backward_matches_finite_differences(self):
-        x = rand((3, 2, 4), 17)
-        gamma, beta = rand((2,), 18), rand((2,), 19)
-        dy = rand((3, 2, 4), 20)
-
-        def loss(inp, g, b):
-            state = K.NormState(2)
-            out, _ = K.batch_norm(inp, state, g, b)
-            return float(np.sum(out * dy))
-
-        state = K.NormState(2)
-        _, cache = K.batch_norm(x, state, gamma, beta)
-        dx, dgamma, dbeta = K.batch_norm_backward(dy, cache)
-        assert max_rel_error(dx, fd_gradient(lambda v: loss(v, gamma, beta), x)) < 1e-5
-        assert max_rel_error(dgamma, fd_gradient(lambda v: loss(x, v, beta), gamma)) < 1e-5
-        assert max_rel_error(dbeta, fd_gradient(lambda v: loss(x, gamma, v), beta)) < 1e-5
-
-    def test_eval_backward_matches_finite_differences(self):
+    def test_eval_backward_scales_dy_by_gamma_over_running_std(self):
         # eval mode reads the running statistics as constants: a per-channel
         # affine map whose adjoint scales dy by gamma / sqrt(running_var + eps)
         x = rand((3, 2, 4), 21)
         gamma, beta = rand((2,), 22), rand((2,), 23)
         dy = rand((3, 2, 4), 24)
-
-        def loss(inp, g, b):
-            out, _ = K.batch_norm(inp, eval_state(2, 25), g, b)
-            return float(np.sum(out * dy))
-
         state = eval_state(2, 25)
         _, cache = K.batch_norm(x, state, gamma, beta)
-        dx, dgamma, dbeta = K.batch_norm_backward(dy, cache)
-        assert max_rel_error(dx, fd_gradient(lambda v: loss(v, gamma, beta), x)) < 1e-5
-        assert max_rel_error(dgamma, fd_gradient(lambda v: loss(x, v, beta), gamma)) < 1e-5
-        assert max_rel_error(dbeta, fd_gradient(lambda v: loss(x, gamma, v), beta)) < 1e-5
+        dx, _, _ = K.batch_norm_backward(dy, cache)
         inv_std = 1.0 / np.sqrt(state.running_var + K.BN_EPS)
         np.testing.assert_array_equal(dx, dy * (gamma * inv_std)[None, :, None])
 
@@ -346,24 +270,6 @@ class TestGroupNorm:
         x = np.array([[[1.0, 3.0]]])
         out, _ = K.group_norm(x, 1, np.ones(1), np.zeros(1))
         assert np.allclose(out, [[[-1.0, 1.0]]], atol=1e-4)
-
-    def test_per_sample_independence_bit_exact(self):
-        gamma, beta = rand((4,), 21), rand((4,), 22)
-        x = rand((3, 4, 5), 23)
-        x2 = x.copy()
-        x2[1:] = rand((2, 4, 5), 24)
-        out_a, _ = K.group_norm(x, 2, gamma, beta)
-        out_b, _ = K.group_norm(x2, 2, gamma, beta)
-        assert np.array_equal(out_a[0], out_b[0])
-
-    def test_group_statistics_contract(self):
-        # pre-affine per-group mean ~0 and variance ~1; variance sits within
-        # 1e-6 of 1 once input variance dominates eps
-        x = 100.0 * rand((2, 8, 6), 25)
-        out, _ = K.group_norm(x, 4, np.ones(8), np.zeros(8))
-        grouped = out.reshape(2, 4, -1)
-        assert np.max(np.abs(grouped.mean(axis=2))) < 1e-8
-        assert np.max(np.abs(grouped.var(axis=2) - 1.0)) < 1e-6
 
     def test_variance_contract_at_low_variance_with_tight_eps(self, monkeypatch):
         monkeypatch.setattr(K, "GN_EPS", 1e-12)
@@ -392,21 +298,6 @@ class TestGroupNorm:
     def test_divisibility_error(self):
         with pytest.raises(K.ShapeError):
             K.group_norm(rand((1, 4, 3)), 3, np.ones(4), np.zeros(4))
-
-    def test_backward_matches_finite_differences(self):
-        x = rand((2, 4, 5), 28)
-        gamma, beta = rand((4,), 29), rand((4,), 30)
-        dy = rand((2, 4, 5), 31)
-
-        def loss(inp, g, b):
-            out, _ = K.group_norm(inp, 2, g, b)
-            return float(np.sum(out * dy))
-
-        _, cache = K.group_norm(x, 2, gamma, beta)
-        dx, dgamma, dbeta = K.group_norm_backward(dy, cache)
-        assert max_rel_error(dx, fd_gradient(lambda v: loss(v, gamma, beta), x)) < 1e-5
-        assert max_rel_error(dgamma, fd_gradient(lambda v: loss(x, v, beta), gamma)) < 1e-5
-        assert max_rel_error(dbeta, fd_gradient(lambda v: loss(x, gamma, v), beta)) < 1e-5
 
 
 # the forms batch_norm and group_norm had before they shared one standardize
@@ -532,20 +423,6 @@ class TestActivations:
         assert K.hard_swish(np.array(4.0)) == 4.0
         assert np.isclose(K.hard_swish(np.array(1.0)), 1.0 * 4.0 / 6.0)
 
-    @pytest.mark.parametrize(
-        "fwd,bwd",
-        [
-            (K.sigmoid, lambda dy, x: K.sigmoid_backward(dy, K.sigmoid(x))),
-            (K.hard_swish, K.hard_swish_backward),
-            (K.relu, K.relu_backward),
-        ],
-    )
-    def test_backward_matches_finite_differences(self, fwd, bwd):
-        x = rand((40,), 33) * 2.0
-        dy = rand((40,), 34)
-        numeric = fd_gradient(lambda v: float(np.sum(fwd(v) * dy)), x)
-        assert max_rel_error(bwd(dy, x), numeric) < 1e-7
-
 
 class TestBroadcastMulHw:
     def test_all_ones_gates(self):
@@ -558,34 +435,6 @@ class TestBroadcastMulHw:
         x = rand((1, 2, 3, 4))
         y = K.broadcast_mul_hw(x, np.full((1, 2, 3), 0.5), np.full((1, 2, 4), 0.5))
         assert np.allclose(y, 0.25 * x)
-
-    def test_matches_quadruple_loop_exactly(self):
-        rng = np.random.default_rng(35)
-        x = rng.standard_normal((2, 3, 4, 5))
-        ah = rng.standard_normal((2, 3, 4))
-        aw = rng.standard_normal((2, 3, 5))
-        y = K.broadcast_mul_hw(x, ah, aw)
-        expected = np.empty_like(x)
-        for n in range(2):
-            for c in range(3):
-                for i in range(4):
-                    for j in range(5):
-                        expected[n, c, i, j] = x[n, c, i, j] * ah[n, c, i] * aw[n, c, j]
-        assert np.array_equal(y, expected)
-
-    def test_backward_matches_finite_differences(self):
-        x = rand((1, 2, 3, 4), 36)
-        ah = rand((1, 2, 3), 37)
-        aw = rand((1, 2, 4), 38)
-        dy = rand((1, 2, 3, 4), 39)
-        dx, dah, daw = K.broadcast_mul_hw_backward(dy, x, ah, aw)
-
-        def loss(xx, hh, ww):
-            return float(np.sum(K.broadcast_mul_hw(xx, hh, ww) * dy))
-
-        assert max_rel_error(dx, fd_gradient(lambda v: loss(v, ah, aw), x)) < 1e-6
-        assert max_rel_error(dah, fd_gradient(lambda v: loss(x, v, aw), ah)) < 1e-6
-        assert max_rel_error(daw, fd_gradient(lambda v: loss(x, ah, v), aw)) < 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(K.ShapeError):
@@ -605,13 +454,6 @@ class TestGlobalAvgPool:
         via_strips = K.strip_pool_h(x).mean(axis=2)[:, :, None]
         assert np.max(np.abs(K.global_avg_pool(x) - via_strips)) < 1e-12
 
-    def test_backward_matches_finite_differences(self):
-        x = rand((1, 2, 3, 4), 43)
-        dz = rand((1, 2, 1), 44)
-        dx = K.global_avg_pool_backward(dz, x.shape)
-        numeric = fd_gradient(lambda v: float(np.sum(K.global_avg_pool(v) * dz)), x)
-        assert max_rel_error(dx, numeric) < 1e-6
-
     def test_backward_is_read_only_view(self):
         assert not K.global_avg_pool_backward(rand((1, 2, 1)), (1, 2, 3, 4)).flags.writeable
 
@@ -624,41 +466,10 @@ class Test2dToyKernels:
         w[1, 1, 1, 1] = 1.0
         assert np.allclose(K.conv2d_same(x, w, np.zeros(2)), x)
 
-    def test_conv2d_backward_matches_finite_differences(self):
-        x = rand((1, 2, 4, 4), 45)
-        w = rand((3, 2, 3, 3), 46)
-        b = rand((3,), 47)
-        dy = rand((1, 3, 4, 4), 48)
-
-        def loss(xx, ww, bb):
-            return float(np.sum(K.conv2d_same(xx, ww, bb) * dy))
-
-        dx, dw, db = K.conv2d_same_backward(dy, x, w, with_bias=True)
-        assert max_rel_error(dx, fd_gradient(lambda v: loss(v, w, b), x)) < 1e-6
-        assert max_rel_error(dw, fd_gradient(lambda v: loss(x, v, b), w)) < 1e-6
-        assert max_rel_error(db, fd_gradient(lambda v: loss(x, w, v), b)) < 1e-6
-
     def test_avg_pool_2x2(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         out = K.avg_pool_2x2(x)
         assert np.allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-        dy = rand((1, 1, 2, 2), 49)
-        numeric = fd_gradient(lambda v: float(np.sum(K.avg_pool_2x2(v) * dy)), x)
-        assert max_rel_error(K.avg_pool_2x2_backward(dy, x.shape), numeric) < 1e-6
-
-
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("c", [4, 16])
-@pytest.mark.parametrize("hw", [(3, 7), (7, 3)])
-def test_backward_fidelity_random_shapes(n, c, hw):
-    # grid sweep: analytic backward vs central differences for the
-    # pooling kernels on random shapes
-    h, w = hw
-    x = rand((n, c, h, w), seed=n * 100 + c + h)
-    dz = rand((n, c, h), seed=n * 101 + c + w)
-    dx = K.strip_pool_backward(dz, x.shape, pooled_axis=3)
-    numeric = fd_gradient(lambda v: float(np.sum(K.strip_pool_h(v) * dz)), x)
-    assert max_rel_error(dx, numeric) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -741,12 +552,6 @@ class TestBlasFormsAgainstReferences:
         assert np.max(np.abs(daw - np.einsum("nchw,nch->ncw", dy * x, ah))) < 1e-12
         assert np.array_equal(dx, dy * ah[:, :, :, None] * aw[:, :, None, :])
 
-    def test_pools_keep_float32(self):
-        x = rand((2, 3, 4, 6), 70).astype(np.float32)
-        for out in (K.strip_pool_h(x), K.strip_pool_w(x), K.global_avg_pool(x),
-                    K.avg_pool_2x2(x)):
-            assert out.dtype == np.float32
-
 
 # ---------------------------------------------------------------------------
 # the conv1d window view built from the strides against the
@@ -779,8 +584,8 @@ class TestWindowViewAgainstReference:
         inputs = [a.copy() for a in (x, w, dy)]
 
         def run():
-            return (K.conv1d_grouped(x, w, groups=groups),
-                    *K.conv1d_grouped_backward(dy, x, w, groups=groups))
+            return (K.conv1d_grouped(x, w),
+                    *K.conv1d_grouped_backward(dy, x, w))
 
         got = run()
         assert_bitwise((x, w, dy), inputs)
@@ -804,22 +609,20 @@ class TestWindowViewAgainstReference:
         assert_bitwise((x,), (before,))
 
 
-def eval_state(c, seed):
+def eval_state(c, seed, dtype=np.float64):
     state = K.NormState(c, mode="eval")
-    state.running_mean, state.running_var = rand(c, seed), 0.5 + rand(c, seed + 1) ** 2
+    state.running_mean = rand(c, seed).astype(dtype)
+    state.running_var = (0.5 + rand(c, seed + 1) ** 2).astype(dtype)
     state.initialized = True
     return state
 
 
 # name -> (forward of (x, *params) returning the output, x, one parameter set)
 PER_SAMPLE_CASES = {
-    "conv1d_depthwise": (lambda x, w: K.conv1d_grouped(x, w, groups=8),
-                         rand((3, 8, 9), 1), [rand((8, 1, 5), 2)]),
-    "conv1d_channels_over_8": (lambda x, w: K.conv1d_grouped(x, w, groups=2),
-                               rand((3, 16, 11), 1), [rand((16, 8, 7), 2)]),
+    "conv1d_depthwise": (K.conv1d_grouped, rand((3, 8, 9), 1), [rand((8, 1, 5), 2)]),
+    "conv1d_channels_over_8": (K.conv1d_grouped, rand((3, 16, 11), 1), [rand((16, 8, 7), 2)]),
     # ECA: one 1D conv along the channels, laid out as (N, 1, C)
-    "conv1d_eca": (lambda x, w: K.conv1d_grouped(x, w, groups=1),
-                   rand((3, 1, 16), 1), [rand((1, 1, 3), 2)]),
+    "conv1d_eca": (K.conv1d_grouped, rand((3, 1, 16), 1), [rand((1, 1, 3), 2)]),
     "conv2d_1x1_strips": (K.conv2d_1x1, rand((3, 16, 12), 1), [rand((8, 16), 2), rand(8, 3)]),
     "group_norm": (lambda x, g, b: K.group_norm(x, 4, g, b)[0],
                    rand((3, 16, 6), 1), [1.0 + rand(16, 2), rand(16, 3)]),
@@ -841,3 +644,134 @@ def test_a_per_sample_parameter_stack_runs_each_sample_with_its_own_set(case):
     out = forward(x, *stacks)
     for i in range(n):
         np.testing.assert_array_equal(out[i], forward(x, *(s[i] for s in stacks))[i])
+
+
+# the extents a strip or gating kernel meets: wider than tall, taller than
+# wide, one row and one column
+STRIPS = {"wide": rand((2, 4, 3, 7), 3), "tall": rand((2, 4, 7, 3), 7),
+          "row": rand((1, 3, 1, 6), 8), "column": rand((1, 3, 6, 1), 11)}
+
+# (x, weight) shapes: groups 1, 2 and 4; k = 1, whose windows are a view at
+# 4 channels per group; ELA's depthwise k = 5 and a k = 7 longer than the
+# strip; ECA's (N, 1, C) layout; 8 channels per group; C_out above and below C_in
+CONV1D_SHAPES = {
+    "g1": ((2, 4, 6), (4, 4, 3)), "g2": ((2, 4, 6), (4, 2, 3)), "g4": ((2, 4, 6), (4, 1, 3)),
+    "k1": ((2, 4, 6), (4, 4, 1)), "k5-depthwise": ((2, 4, 9), (4, 1, 5)),
+    "k7-beyond-length": ((2, 4, 3), (4, 1, 7)), "eca": ((2, 1, 8), (1, 1, 3)),
+    "channels-over-8": ((2, 16, 5), (16, 8, 3)),
+    "widening": ((2, 4, 6), (8, 2, 3)), "narrowing": ((2, 4, 6), (2, 4, 3)),
+}
+
+
+def norm_adjoint_inputs(shape, seed):
+    return [rand(shape, seed), rand(shape[1], seed + 1), rand(shape[1], seed + 2)]
+
+
+def train_bn(x, g, b):
+    return K.batch_norm(x, K.NormState(x.shape[1]), g, b)
+
+
+def eval_bn(x, g, b):
+    return K.batch_norm(x, eval_state(x.shape[1], 25, x.dtype), g, b)
+
+
+# name -> (forward of the differentiable inputs, those inputs, backward of
+# (dy, *inputs) giving one gradient per input, bound on max_rel_error)
+ADJOINT_CASES = {
+    **{f"strip_pool_h-{tag}": (K.strip_pool_h, [x],
+                               lambda dy, x: K.strip_pool_backward(dy, x.shape, 3), 1e-6)
+       for tag, x in STRIPS.items()},
+    **{f"strip_pool_w-{tag}": (K.strip_pool_w, [x],
+                               lambda dy, x: K.strip_pool_backward(dy, x.shape, 2), 1e-6)
+       for tag, x in STRIPS.items()},
+    **{name: (K.global_avg_pool, [rand(shape, 43)],
+              lambda dy, x: K.global_avg_pool_backward(dy, x.shape), 1e-6)
+       for name, shape in [("global_avg_pool", (1, 2, 3, 4)),
+                           ("global_avg_pool-unit", (2, 3, 1, 1))]},
+    **{f"conv1d_grouped-{tag}": (
+        K.conv1d_grouped, [rand(x_shape, 9), rand(w_shape, 10)],
+        lambda dy, x, w: K.conv1d_grouped_backward(dy, x, w), 1e-6)
+       for tag, (x_shape, w_shape) in CONV1D_SHAPES.items()},
+    # C -> C_out: CA's and SE's bottleneck, its widening, a length of one
+    **{name: (K.conv2d_1x1, [rand(x_shape, 12), rand((c_out, x_shape[1]), 13), rand(c_out, 14)],
+              lambda dy, x, w, b: K.conv2d_1x1_backward(dy, x, w), 1e-6)
+       for name, x_shape, c_out in [("conv2d_1x1", (2, 3, 4), 5),
+                                    ("conv2d_1x1-bottleneck", (2, 16, 5), 8),
+                                    ("conv2d_1x1-widening", (2, 8, 5), 16),
+                                    ("conv2d_1x1-unit-length", (3, 4, 1), 5)]},
+    **{name: (lambda x, g, b, bn=bn: bn(x, g, b)[0], norm_adjoint_inputs(shape, seed),
+              lambda dy, x, g, b, bn=bn: K.batch_norm_backward(dy, bn(x, g, b)[1]), 1e-5)
+       for name, bn, shape, seed in [("batch_norm-train", train_bn, (3, 2, 4), 17),
+                                     ("batch_norm-train-one-sample", train_bn, (1, 3, 5), 17),
+                                     ("batch_norm-train-unit-length", train_bn, (4, 3, 1), 17),
+                                     ("batch_norm-eval", eval_bn, (3, 2, 4), 21),
+                                     ("batch_norm-eval-one-position", eval_bn, (1, 2, 1), 21)]},
+    # two channels per group, one per group (ELA's GN) and a single group
+    **{name: (lambda x, g, b, groups=groups: K.group_norm(x, groups, g, b)[0],
+              norm_adjoint_inputs(shape, 28),
+              lambda dy, x, g, b, groups=groups: K.group_norm_backward(
+                  dy, K.group_norm(x, groups, g, b)[1]), 1e-5)
+       for name, shape, groups in [("group_norm", (2, 4, 5), 2),
+                                   ("group_norm-per-channel", (2, 4, 5), 4),
+                                   ("group_norm-one-group", (2, 3, 4), 1)]},
+    # the wide draws reach sigmoid's saturated tails and hard_swish's flat parts
+    **{f"sigmoid{tag}": (K.sigmoid, [scale * rand(40, 33)],
+                         lambda dy, x: K.sigmoid_backward(dy, K.sigmoid(x)), 1e-7)
+       for tag, scale in [("", 2.0), ("-wide", 8.0)]},
+    **{f"hard_swish{tag}": (K.hard_swish, [scale * rand(40, 33)],
+                            lambda dy, x: K.hard_swish_backward(dy, x), 1e-7)
+       for tag, scale in [("", 2.0), ("-wide", 5.0)]},
+    "relu": (K.relu, [2.0 * rand(40, 33)], lambda dy, x: K.relu_backward(dy, x), 1e-7),
+    "broadcast_mul_hw": (
+        K.broadcast_mul_hw, [rand((1, 2, 3, 4), 36), rand((1, 2, 3), 37), rand((1, 2, 4), 38)],
+        lambda dy, x, ah, aw: K.broadcast_mul_hw_backward(dy, x, ah, aw), 1e-6),
+    **{f"broadcast_mul_hw-{tag}": (
+        K.broadcast_mul_hw, [x, rand(x.shape[:3], 37), rand(x.shape[:2] + x.shape[3:], 38)],
+        lambda dy, x, ah, aw: K.broadcast_mul_hw_backward(dy, x, ah, aw), 1e-6)
+       for tag, x in STRIPS.items() if tag in ("row", "column")},
+    **{name: (K.conv2d_same, [rand(x_shape, 45), rand(w_shape, 46), rand(w_shape[0], 47)],
+              lambda dy, x, w, b: K.conv2d_same_backward(dy, x, w, with_bias=True), 1e-6)
+       for name, x_shape, w_shape in [("conv2d_same", (1, 2, 4, 4), (3, 2, 3, 3)),
+                                      ("conv2d_same-1x1", (2, 2, 3, 4), (3, 2, 1, 1))]},
+    # the backward's default path, which skips the bias gradient
+    "conv2d_same-no-bias": (
+        lambda x, w: K.conv2d_same(x, w, np.zeros(3, x.dtype)),
+        [rand((1, 2, 4, 5), 45), rand((3, 2, 3, 3), 46)],
+        lambda dy, x, w: K.conv2d_same_backward(dy, x, w)[:2], 1e-6),
+    **{name: (K.avg_pool_2x2, [rand(shape, 49)],
+              lambda dy, x: K.avg_pool_2x2_backward(dy, x.shape), 1e-6)
+       for name, shape in [("avg_pool_2x2", (1, 1, 4, 4)), ("avg_pool_2x2-batch", (2, 3, 2, 6))]},
+}
+
+
+@pytest.mark.parametrize("case", ADJOINT_CASES)
+def test_backward_matches_finite_differences(case):
+    # each gradient against central differences of sum(forward(...) * dy)
+    forward, inputs, backward, bound = ADJOINT_CASES[case]
+    dy = rand(forward(*inputs).shape, 50)
+    grads = backward(dy, *inputs)
+    grads = grads if isinstance(grads, tuple) else (grads,)
+    for i, (x, grad) in enumerate(zip(inputs, grads, strict=True)):
+        def loss(v):
+            return float(np.sum(forward(*inputs[:i], v, *inputs[i + 1:]) * dy))
+
+        assert max_rel_error(grad, fd_gradient(loss, x)) < bound, f"gradient {i}"
+
+
+@pytest.mark.parametrize("case", ADJOINT_CASES)
+def test_float32_inputs_keep_float32(case):
+    # the output and every gradient stay in the dtype the caller passed
+    forward, inputs, backward, _ = ADJOINT_CASES[case]
+    inputs = [x.astype(np.float32) for x in inputs]
+    y = forward(*inputs)
+    grads = backward(rand(y.shape, 50).astype(np.float32), *inputs)
+    grads = grads if isinstance(grads, tuple) else (grads,)
+    assert [a.dtype for a in (y, *grads)] == [np.float32] * (1 + len(inputs))
+
+
+def test_every_public_backward_has_an_adjoint_case():
+    # a row names a backward by calling it
+    called = {name for _, _, backward, _ in ADJOINT_CASES.values()
+              for name in backward.__code__.co_names}
+    public = {name for name in vars(K) if name.endswith("_backward") and not name.startswith("_")}
+    assert public - called == set()
