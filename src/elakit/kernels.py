@@ -10,7 +10,8 @@ to produce the width map (N, C, W); the divisor is always the pooled extent.
 All convolutions are cross-correlations (no kernel flip) with zero
 same-padding of floor(k/2) on each side, so spatial lengths are preserved.
 The grouped 1D convolution carries no bias: ELA follows it with GN, whose
-beta absorbs one, and ECA's has none.
+beta absorbs one, and ECA's has none. Each conv kernel pair checks its
+operands in one private helper, so a backward rejects what its forward rejects.
 
 Each forward kernel has a matching `*_backward` that is the exact adjoint;
 all are pure functions except `batch_norm`, which updates running statistics
@@ -119,27 +120,29 @@ def _group_columns(a, groups, k):
     return win.reshape(n, groups, length, cpg * k)
 
 
-def conv1d_grouped(x, weight):
-    """Grouped same-padded 1D cross-correlation on (N,C,L), without bias (the
-    1D convs of ELA and ECA carry none).
-
-    weight has shape (C_out, C_in/groups, k) with odd k, so it fixes
-    groups = C_in / weight.shape[-2]; output length == L.
-    """
+def _conv1d_groups(x, weight):
+    """Check conv1d_grouped's operands and return their groups, C / weight.shape[-2]."""
     _check(x, "NCL")
-    n, c_in, length = x.shape
+    c = x.shape[1]
     c_out, cpg, k = weight.shape[-3:]
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {k}")
-    if cpg == 0 or c_in % cpg != 0 or c_out % (c_in // cpg) != 0:
-        raise ShapeError(
-            f"a weight of {cpg} channels per group does not split C_in={c_in} "
-            f"and C_out={c_out} into equal groups"
-        )
-    groups = c_in // cpg
-    wmat = weight.reshape(weight.shape[:-3] + (groups, c_out // groups, cpg * k))
-    out = _group_columns(x, groups, k) @ wmat.swapaxes(-1, -2)  # (N, G, L, C_out/G)
-    return out.transpose(0, 1, 3, 2).reshape(n, c_out, length).astype(x.dtype, copy=False)
+    if c_out != c or cpg == 0 or c % cpg != 0:
+        raise ShapeError(f"weight {weight.shape[-3:]} is not (C, C/groups, k) for C={c}")
+    return c // cpg
+
+
+def conv1d_grouped(x, weight):
+    """Grouped same-padded 1D cross-correlation on (N,C,L), without bias.
+
+    weight has shape (C, C/groups, k) with odd k, so it fixes
+    groups = C / weight.shape[-2]; the output has x's shape.
+    """
+    groups = _conv1d_groups(x, weight)
+    cpg, k = weight.shape[-2:]
+    wmat = weight.reshape(weight.shape[:-3] + (groups, cpg, cpg * k))
+    out = _group_columns(x, groups, k) @ wmat.swapaxes(-1, -2)  # (N, G, L, C/G)
+    return out.transpose(0, 1, 3, 2).reshape(x.shape).astype(x.dtype, copy=False)
 
 
 def conv1d_grouped_backward(dy, x, weight):
@@ -147,16 +150,15 @@ def conv1d_grouped_backward(dy, x, weight):
 
     dx correlates the same-padded dy windows with the flipped kernel.
     """
-    n, c_in, length = x.shape
-    c_out, cpg, k = weight.shape
-    if dy.shape != (n, c_out, length):
+    groups = _conv1d_groups(x, weight)
+    if dy.shape != x.shape:
         raise ShapeError(f"dy shape {dy.shape} inconsistent with forward output")
-    groups = c_in // cpg
-    opg = c_out // groups
-    dweight = (dy.reshape(n, groups, opg, length) @ _group_columns(x, groups, k)).sum(axis=0)
+    n, c, length = x.shape
+    cpg, k = weight.shape[-2:]
+    dweight = (dy.reshape(n, groups, cpg, length) @ _group_columns(x, groups, k)).sum(axis=0)
     dweight = dweight.reshape(weight.shape).astype(weight.dtype, copy=False)
-    wflip = weight[..., ::-1].reshape(groups, opg, cpg, k).transpose(0, 1, 3, 2)
-    dx = _group_columns(dy, groups, k) @ wflip.reshape(groups, opg * k, cpg)  # (N, G, L, cpg)
+    wflip = weight[..., ::-1].reshape(groups, cpg, cpg, k).transpose(0, 1, 3, 2)
+    dx = _group_columns(dy, groups, k) @ wflip.reshape(groups, cpg * k, cpg)  # (N, G, L, cpg)
     dx = dx.transpose(0, 1, 3, 2).reshape(x.shape).astype(x.dtype, copy=False)
     return dx, dweight
 
@@ -368,35 +370,37 @@ def broadcast_mul_hw_backward(dy, x, ah, aw):
 # 2D kernels for the toy CNN (invented plumbing, same conventions)
 # ---------------------------------------------------------------------------
 
-def conv2d_same(x, weight, bias):
-    """Same-padded 2D cross-correlation on (N,C,H,W); odd square kernel."""
+def _conv2d_windows(x, weight):
+    """Check conv2d_same's operands; return x's same-padded windows, (N,C,H,W,kh,kw)."""
     _check(x, "NCHW")
-    c_out, c_in, kh, kw = weight.shape
+    _, c_in, kh, kw = weight.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"kernel dims must be odd, got {kh}x{kw}")
     if c_in != x.shape[1]:
         raise ShapeError(f"weight expects {c_in} channels, got {x.shape[1]}")
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (N,C,H,W,kh,kw)
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    return sliding_window_view(xp, (kh, kw), axis=(2, 3))
+
+
+def conv2d_same(x, weight, bias):
+    """Same-padded 2D cross-correlation on (N,C,H,W) with an odd kernel."""
+    win = _conv2d_windows(x, weight)
     out = np.einsum("nchwij,ocij->nohw", win, weight, optimize=True)
     out += bias[None, :, None, None]
     return out
 
 
 def conv2d_same_backward(dy, x, weight, with_bias=False):
-    n, c_in, h, w = x.shape
-    c_out, _, kh, kw = weight.shape
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    """Adjoint of conv2d_same: (dx, dweight, dbias), dbias None unless with_bias."""
+    win = _conv2d_windows(x, weight)
+    n, c_in, h, w, kh, kw = win.shape
     dweight = np.einsum("nohw,nchwij->ocij", dy, win, optimize=True)
     scatter = np.einsum("nohw,ocij->nchwij", dy, weight, optimize=True)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros((n, c_in, h + kh - 1, w + kw - 1), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i:i + h, j:j + w] += scatter[:, :, :, :, i, j]
-    dx = dxp[:, :, ph:ph + h, pw:pw + w]
+    dx = dxp[:, :, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w]
     dbias = dy.sum(axis=(0, 2, 3)) if with_bias else None
     return dx, dweight, dbias
 

@@ -142,7 +142,8 @@ class EcaConfig:
         return _channel_macs(c, h, w) + ECA_KERNEL_SIZE * c
 
 
-def _he_normal(rng, shape, fan_in):
+def he_normal(rng, shape, fan_in):
+    """He-normal initialization: N(0, 2 / fan_in) draws of `shape` from rng."""
     return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
 
 
@@ -239,8 +240,8 @@ class EfficientLocalAttention(_DirectionalBlock):
         c, k, p = self.channels, self.cfg.kernel_size, self.params
         groups, self.gn_groups = self.cfg.sizes(c)
         cpg = c // groups
-        p.add("conv_h.weight", _he_normal(rng, (c, cpg, k), cpg * k))
-        p.add("conv_w.weight", _he_normal(rng, (c, cpg, k), cpg * k))
+        p.add("conv_h.weight", he_normal(rng, (c, cpg, k), cpg * k))
+        p.add("conv_w.weight", he_normal(rng, (c, cpg, k), cpg * k))
         for d in ("h", "w"):
             p.add(f"gn_{d}.gamma", np.ones(c), role="norm")
             p.add(f"gn_{d}.beta", np.zeros(c), role="norm")
@@ -284,12 +285,12 @@ class CoordinateAttention(_DirectionalBlock):
             # groups for the GN flavor over the mip-channel bottleneck; gcd with
             # 16 keeps the count close to common GN settings while dividing mip
             self.gn_groups = math.gcd(mip, 16)
-        p.add("f1.weight", _he_normal(rng, (mip, c), c))
+        p.add("f1.weight", he_normal(rng, (mip, c), c))
         p.add("norm.gamma", np.ones(mip), role="norm")
         p.add("norm.beta", np.zeros(mip), role="norm")
-        p.add("fh.weight", _he_normal(rng, (c, mip), mip))
+        p.add("fh.weight", he_normal(rng, (c, mip), mip))
         p.add("fh.bias", np.zeros(c), role="bias")
-        p.add("fw.weight", _he_normal(rng, (c, mip), mip))
+        p.add("fw.weight", he_normal(rng, (c, mip), mip))
         p.add("fw.bias", np.zeros(c), role="bias")
 
     @property
@@ -347,8 +348,8 @@ class SqueezeExcitation(_ChannelBlock):
     def _init(self, rng):
         c = self.channels
         self.mip = mip = intermediate_channels(c)
-        self.params.add("fc1.weight", _he_normal(rng, (mip, c), c))
-        self.params.add("fc2.weight", _he_normal(rng, (c, mip), mip))
+        self.params.add("fc1.weight", he_normal(rng, (mip, c), c))
+        self.params.add("fc2.weight", he_normal(rng, (c, mip), mip))
 
     def _logits(self, pooled):
         p = self.params
@@ -371,7 +372,7 @@ class EfficientChannelAttention(_ChannelBlock):
 
     def _init(self, rng):
         k = ECA_KERNEL_SIZE
-        self.params.add("conv.weight", _he_normal(rng, (1, 1, k), k))
+        self.params.add("conv.weight", he_normal(rng, (1, 1, k), k))
 
     def _logits(self, pooled):
         seq = pooled.transpose(0, 2, 1)  # (N,1,C): channels as the sequence

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from elakit import kernels as K
-from elakit.modules import build_attention
+from elakit.modules import build_attention, he_normal
 from elakit.params import ParamStore
 
 
@@ -35,11 +35,6 @@ class ToyBatch:
     images: np.ndarray  # (n, 1, S, S) in [0, 1]
     labels: np.ndarray  # (n,) quadrant index: 0 TL, 1 TR, 2 BL, 3 BR
     centers: np.ndarray  # (n, 2) blob centers as (row, col)
-
-
-def quadrant_of(row, col, size):
-    half = size // 2  # where make_toy_batch splits its quadrants
-    return (2 if row >= half else 0) + (1 if col >= half else 0)
 
 
 def make_toy_batch(n, seed, size=32):
@@ -76,14 +71,16 @@ class MiniCnnConfig:
     def __post_init__(self):
         dims = (*self.stage_channels, *self.input_shape)
         if not (
-            all(isinstance(d, (int, np.integer)) and d > 0 for d in dims)
+            self.stage_channels  # gradcam reads the last stage
+            and all(isinstance(d, (int, np.integer)) and d > 0 for d in dims)
             and len(self.input_shape) == 3
             and self.input_shape[1] == self.input_shape[2]  # the head is sized from H
             and self.input_shape[1] % 2 ** len(self.stage_channels) == 0  # each stage halves H
         ):
             raise ValueError(
                 f"stage_channels {self.stage_channels!r} and input_shape (C, H, W) "
-                f"{self.input_shape!r} need positive ints, H == W and H divisible by 2**stages"
+                f"{self.input_shape!r} need at least one stage, positive ints, H == W "
+                "and H divisible by 2**stages"
             )
         if isinstance(self.attention, str):  # stored in lower case, as model files record it
             kind = self.attention.lower()
@@ -108,8 +105,7 @@ class MiniCnn:
         for i, c in enumerate(self.cfg.stage_channels):
             # one conv per stage; `block0` keeps the names of older model files
             self.params.add(
-                f"stage{i}.block0.conv.weight",
-                rng.normal(0.0, np.sqrt(2.0 / (c_prev * 9)), size=(c, c_prev, 3, 3)),
+                f"stage{i}.block0.conv.weight", he_normal(rng, (c, c_prev, 3, 3), c_prev * 9)
             )
             self.params.add(f"stage{i}.block0.conv.bias", np.zeros(c), role="bias")
             c_prev = c
@@ -122,10 +118,7 @@ class MiniCnn:
         # would be translation-invariant and could not read out location
         side = self.cfg.input_shape[1] // 2 ** len(self.cfg.stage_channels)
         feat_dim = c_prev * side * side
-        self.params.add(
-            "head.weight",
-            rng.normal(0.0, np.sqrt(2.0 / feat_dim), size=(NUM_CLASSES, feat_dim)),
-        )
+        self.params.add("head.weight", he_normal(rng, (NUM_CLASSES, feat_dim), feat_dim))
         self.params.add("head.bias", np.zeros(NUM_CLASSES), role="bias")
         self.params.meta = {
             "kind": "mini_cnn",

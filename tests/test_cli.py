@@ -204,6 +204,11 @@ MODEL_DEFECTS = {
     "non-square-input": _edit_header(lambda h: h["meta"].update(input_shape=[1, 8, 4])),
     # the stage's 2x2 pool needs an even H; the head's tensor shapes still fit
     "input-not-divisible": _edit_header(lambda h: h["meta"].update(input_shape=[1, 9, 9])),
+    # Grad-CAM weighs the last stage, so a model needs one; the head's shape
+    # fits either way, and the stage tensors go with the stages
+    "no-stages": _edit_header(lambda h: (
+        h["meta"].update(stage_channels=[]),
+        h.update(tensors=[t for t in h["tensors"] if t["name"].startswith("head.")]))),
     # well formed, but the heatmaps it gives are all zeros
     "non-finite-tensor": _nan_in_first_tensor,
     # the first conv weight alone would take 6.4 PiB, beyond any address space

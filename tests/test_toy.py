@@ -15,11 +15,15 @@ from elakit.toy import (
     cross_entropy,
     gradcam,
     make_toy_batch,
-    quadrant_of,
     sgd_step,
     pgm_bytes,
     train_toy,
 )
+
+
+def quadrant_of(row, col, size):
+    half = size // 2  # where make_toy_batch splits its quadrants
+    return (2 if row >= half else 0) + (1 if col >= half else 0)
 
 
 class TestToyBatch:
@@ -123,6 +127,11 @@ class TestMiniCnn:
         # 12 >= 2**3, but the third 2x2 pool would meet a 3x3 map
         with pytest.raises(ValueError, match="divisible by 2\\*\\*stages"):
             MiniCnnConfig(stage_channels=(4, 4, 4), input_shape=(1, side, side))
+
+    def test_config_rejects_no_stages(self):
+        # Grad-CAM weighs the last stage's map
+        with pytest.raises(ValueError, match="at least one stage"):
+            MiniCnnConfig(stage_channels=(), input_shape=(1, 8, 8))
 
     def test_full_model_gradient_check(self):
         model = self.tiny_model()
