@@ -194,8 +194,9 @@ def audit_network(spec):
         params = param_count(spec.module, site.channels)
         try:
             enumerated = param_count_enumerated(spec.module, site.channels)
-        except MemoryError as exc:
-            raise MemoryError(f"site {site.name!r}: {exc}") from None
+        except (MemoryError, ValueError) as exc:  # a size numpy cannot allocate or represent
+            error = MemoryError if isinstance(exc, MemoryError) else ValueError
+            raise error(f"site {site.name!r}: {exc}") from None
         if params != enumerated:
             enumeration_ok = False
         rows.append((site.name, params, flop_count(spec.module, site.channels, site.height, site.width)))

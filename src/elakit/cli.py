@@ -91,8 +91,8 @@ def cmd_audit(args):
     spec = PlacementSpec.from_json_file(args.config)
     try:
         report = audit_network(spec)
-    except MemoryError as exc:  # a site too large to build for the enumeration oracle
-        raise MemoryError(f"{args.config}: {exc}") from None
+    except (MemoryError, ValueError) as exc:  # a site too large for the enumeration oracle
+        raise type(exc)(f"{args.config}: {exc}") from None
     outputs = {args.out: report.to_csv().encode("utf-8")}
     if args.json_out:
         outputs[args.json_out] = report.to_json().encode("utf-8")
@@ -188,7 +188,11 @@ def cmd_gradcam(args):
         raise ValueError(f"{args.out} already holds heatmaps; choose a new --out")
     model = MiniCnn.load(args.model)
     batch = make_toy_batch(args.samples, seed=args.seed, size=model.cfg.input_shape[1])
-    maps = gradcam(model, batch.images, batch.labels)
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # finite weights too large to use
+            maps = gradcam(model, batch.images, batch.labels)
+    except FloatingPointError as exc:
+        raise ValueError(f"{args.model}: the model's values overflow: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     atomic_write_files({
         os.path.join(args.out, f"heatmap_{i:03d}.pgm"): pgm_bytes(m) for i, m in enumerate(maps)

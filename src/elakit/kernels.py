@@ -10,8 +10,8 @@ to produce the width map (N, C, W); the divisor is always the pooled extent.
 All convolutions are cross-correlations (no kernel flip) with zero
 same-padding of floor(k/2) on each side, so spatial lengths are preserved.
 The grouped 1D convolution carries no bias: ELA follows it with GN, whose
-beta absorbs one, and ECA's has none. Each conv kernel pair checks its
-operands in one private helper, so a backward rejects what its forward rejects.
+beta absorbs one, and ECA's has none. A backward rejects, with ShapeError, any
+dy or operand that its forward could not have produced or would reject.
 
 Each forward kernel has a matching `*_backward` that is the exact adjoint;
 all are pure functions except `batch_norm`, which updates running statistics
@@ -39,14 +39,17 @@ class UninitializedNormError(RuntimeError):
     """Eval-mode batch norm requested before any running statistics exist."""
 
 
-def _check(x, layout):
-    """Raise ShapeError unless x has one axis per letter of `layout`, all >= 1."""
-    if x.ndim != len(layout):
-        raise ShapeError(
-            f"expected rank-{len(layout)} ({','.join(layout)}) tensor, got shape {x.shape}"
-        )
-    if x.size == 0:
-        raise ShapeError(f"all dimensions must be >= 1, got {x.shape}")
+def _check(shape, layout):
+    """Raise ShapeError unless `shape` has one nonzero axis per letter of `layout`; return it."""
+    if len(shape) != len(layout) or 0 in shape:
+        raise ShapeError(f"expected {len(layout)} nonzero axes ({','.join(layout)}), got {shape}")
+    return shape
+
+
+def _expect(name, a, shape):
+    """Raise ShapeError unless the operand `name`, array `a`, has exactly the tuple `shape`."""
+    if a.shape != shape:
+        raise ShapeError(f"{name} shape {a.shape} is not {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +58,13 @@ def _check(x, layout):
 
 def strip_pool_h(x):
     """Directional average over W: (N,C,H,W) -> (N,C,H)."""
-    _check(x, "NCHW")
+    _check(x.shape, "NCHW")
     return (x @ np.ones(x.shape[3], dtype=x.dtype)) / x.shape[3]
 
 
 def strip_pool_w(x):
     """Directional average over H: (N,C,H,W) -> (N,C,W)."""
-    _check(x, "NCHW")
+    _check(x.shape, "NCHW")
     return (np.ones(x.shape[2], dtype=x.dtype) @ x) / x.shape[2]
 
 
@@ -72,30 +75,23 @@ def strip_pool_backward(dz, orig_shape, pooled_axis):
     Returns a read-only broadcast view of the small tensor dz/L; callers
     accumulate it (`dx += ...`) or copy it.
     """
-    n, c, h, w = orig_shape
-    if pooled_axis == 3:
-        if dz.shape != (n, c, h):
-            raise ShapeError(f"dz shape {dz.shape} inconsistent with {orig_shape}")
-        return np.broadcast_to((dz / w)[:, :, :, None], orig_shape)
-    if pooled_axis == 2:
-        if dz.shape != (n, c, w):
-            raise ShapeError(f"dz shape {dz.shape} inconsistent with {orig_shape}")
-        return np.broadcast_to((dz / h)[:, :, None, :], orig_shape)
-    raise ShapeError(f"pooled_axis must be 2 or 3, got {pooled_axis}")
+    _check(orig_shape, "NCHW")
+    if pooled_axis not in (2, 3):
+        raise ShapeError(f"pooled_axis must be 2 or 3, got {pooled_axis}")
+    _expect("dz", dz, orig_shape[:pooled_axis] + orig_shape[pooled_axis + 1:])
+    return np.broadcast_to(np.expand_dims(dz / orig_shape[pooled_axis], pooled_axis), orig_shape)
 
 
 def global_avg_pool(x):
     """Mean over H*W per channel: (N,C,H,W) -> (N,C,1)."""
-    _check(x, "NCHW")
-    n, c, h, w = x.shape
+    n, c, h, w = _check(x.shape, "NCHW")
     return ((x.reshape(n, c, h * w) @ np.ones(h * w, dtype=x.dtype)) / (h * w))[:, :, None]
 
 
 def global_avg_pool_backward(dz, orig_shape):
     """Adjoint of global_avg_pool: a read-only broadcast view of dz/(H*W)."""
-    n, c, h, w = orig_shape
-    if dz.shape != (n, c, 1):
-        raise ShapeError(f"dz shape {dz.shape} inconsistent with {orig_shape}")
+    n, c, h, w = _check(orig_shape, "NCHW")
+    _expect("dz", dz, (n, c, 1))
     return np.broadcast_to((dz / (h * w))[:, :, :, None], orig_shape)
 
 
@@ -122,8 +118,7 @@ def _group_columns(a, groups, k):
 
 def _conv1d_groups(x, weight):
     """Check conv1d_grouped's operands and return their groups, C / weight.shape[-2]."""
-    _check(x, "NCL")
-    c = x.shape[1]
+    _, c, _ = _check(x.shape, "NCL")
     c_out, cpg, k = weight.shape[-3:]
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {k}")
@@ -151,8 +146,7 @@ def conv1d_grouped_backward(dy, x, weight):
     dx correlates the same-padded dy windows with the flipped kernel.
     """
     groups = _conv1d_groups(x, weight)
-    if dy.shape != x.shape:
-        raise ShapeError(f"dy shape {dy.shape} inconsistent with forward output")
+    _expect("dy", dy, x.shape)
     n, c, length = x.shape
     cpg, k = weight.shape[-2:]
     dweight = (dy.reshape(n, groups, cpg, length) @ _group_columns(x, groups, k)).sum(axis=0)
@@ -167,13 +161,17 @@ def conv1d_grouped_backward(dy, x, weight):
 # pointwise (1x1) convolution: pure channel mixing at every position
 # ---------------------------------------------------------------------------
 
+def _conv1x1_shape(x, weight):
+    """Check conv2d_1x1's operands; return its output shape (N, C_out, L)."""
+    n, c, length = _check(x.shape, "NCL")
+    if weight.ndim < 2 or weight.shape[-1] != c:
+        raise ShapeError(f"weight {weight.shape} is not (C_out, {c})")
+    return n, weight.shape[-2], length
+
+
 def conv2d_1x1(x, weight, bias=None):
     """Per-position channel mixing on (N,C,L)."""
-    _check(x, "NCL")
-    if weight.shape[-1] != x.shape[1]:
-        raise ShapeError(
-            f"weight expects {weight.shape[-1]} input channels, got {x.shape[1]}"
-        )
+    _conv1x1_shape(x, weight)
     out = weight @ x
     if bias is not None:
         out += bias[..., None]
@@ -181,6 +179,8 @@ def conv2d_1x1(x, weight, bias=None):
 
 
 def conv2d_1x1_backward(dy, x, weight):
+    """Adjoint of conv2d_1x1: returns (dx, dweight, dbias)."""
+    _expect("dy", dy, _conv1x1_shape(x, weight))
     dx = weight.T @ dy
     dweight = np.tensordot(dy, x, axes=([0, 2], [0, 2]))
     return dx, dweight, dy.sum(axis=(0, 2))
@@ -251,7 +251,7 @@ def batch_norm(x, state, gamma, beta):
     the running estimates; eval mode uses running statistics only, a fixed
     per-channel affine map of x. Returns (out, cache).
     """
-    _check(x, "NCL")
+    _check(x.shape, "NCL")
     if state.mode not in ("train", "eval"):
         raise ValueError(f"batch norm mode must be 'train' or 'eval', got {state.mode!r}")
     running = state.mode == "eval"  # eval normalizes with the running statistics
@@ -279,6 +279,7 @@ def batch_norm_backward(dy, cache):
     (dx, dgamma, dbeta). In eval mode the statistics are constants, so dx is
     dy * gamma / sqrt(running_var + eps) per channel."""
     xhat, inv_std, gamma, running = cache
+    _expect("dy", dy, xhat.shape)
     if running:
         dx = dy * (gamma * inv_std)[:, None]
         return dx, (dy * xhat).sum(axis=(0, 2)), dy.sum(axis=(0, 2))
@@ -287,8 +288,7 @@ def batch_norm_backward(dy, cache):
 
 def group_norm(x, num_groups, gamma, beta):
     """Per-sample group normalization on (N,C,L); returns (out, cache)."""
-    _check(x, "NCL")
-    n, c, _ = x.shape
+    n, c, _ = _check(x.shape, "NCL")
     if c % num_groups != 0:
         raise ShapeError(f"num_groups={num_groups} does not divide C={c}")
     xhat, _, _, inv_std = _standardize(x.reshape(n, num_groups, -1), 2, GN_EPS)
@@ -300,6 +300,7 @@ def group_norm(x, num_groups, gamma, beta):
 def group_norm_backward(dy, cache):
     """Adjoint of group_norm: returns (dx, dgamma, dbeta)."""
     xhat, inv_std, gamma, num_groups = cache
+    _expect("dy", dy, xhat.shape)
     return _standardize_backward(dy, xhat, gamma, inv_std, (dy.shape[0], num_groups, -1), 2)
 
 
@@ -315,6 +316,7 @@ def sigmoid(x):
 
 def sigmoid_backward(dy, s):
     """dy through sigmoid given the forward output s."""
+    _expect("dy", dy, s.shape)
     return dy * s * (1.0 - s)
 
 
@@ -323,6 +325,7 @@ def hard_swish(x):
 
 
 def hard_swish_backward(dy, x):
+    _expect("dy", dy, x.shape)
     grad = np.where(x <= -3.0, 0.0, np.where(x >= 3.0, 1.0, (2.0 * x + 3.0) / 6.0))
     return dy * grad
 
@@ -332,6 +335,7 @@ def relu(x):
 
 
 def relu_backward(dy, x):
+    _expect("dy", dy, x.shape)
     return dy * (x > 0.0)
 
 
@@ -339,14 +343,16 @@ def relu_backward(dy, x):
 # gating and spatial concatenation
 # ---------------------------------------------------------------------------
 
+def _gates(x, ah, aw):
+    """Check broadcast_mul_hw's operands: x is (N,C,H,W), ah (N,C,H) and aw (N,C,W)."""
+    n, c, h, w = _check(x.shape, "NCHW")
+    _expect("ah", ah, (n, c, h))
+    _expect("aw", aw, (n, c, w))
+
+
 def broadcast_mul_hw(x, ah, aw):
     """Y[n,c,i,j] = x[n,c,i,j] * ah[n,c,i] * aw[n,c,j]."""
-    _check(x, "NCHW")
-    n, c, h, w = x.shape
-    if ah.shape != (n, c, h) or aw.shape != (n, c, w):
-        raise ShapeError(
-            f"gate shapes {ah.shape}/{aw.shape} inconsistent with input {x.shape}"
-        )
+    _gates(x, ah, aw)
     y = x * ah[:, :, :, None]
     y *= aw[:, :, None, :]
     return y
@@ -358,6 +364,8 @@ def broadcast_mul_hw_backward(dy, x, ah, aw):
     dx is written into the buffer of dy*x once the gate gradients are read
     from it, which saves one full-size allocation per call.
     """
+    _gates(x, ah, aw)
+    _expect("dy", dy, x.shape)
     dyx = dy * x
     dah = (dyx @ aw[..., None])[..., 0]
     daw = (ah[..., None, :] @ dyx)[..., 0, :]
@@ -372,7 +380,7 @@ def broadcast_mul_hw_backward(dy, x, ah, aw):
 
 def _conv2d_windows(x, weight):
     """Check conv2d_same's operands; return x's same-padded windows, (N,C,H,W,kh,kw)."""
-    _check(x, "NCHW")
+    _check(x.shape, "NCHW")
     _, c_in, kh, kw = weight.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"kernel dims must be odd, got {kh}x{kw}")
@@ -394,6 +402,7 @@ def conv2d_same_backward(dy, x, weight, with_bias=False):
     """Adjoint of conv2d_same: (dx, dweight, dbias), dbias None unless with_bias."""
     win = _conv2d_windows(x, weight)
     n, c_in, h, w, kh, kw = win.shape
+    _expect("dy", dy, (n, weight.shape[0], h, w))
     dweight = np.einsum("nohw,nchwij->ocij", dy, win, optimize=True)
     scatter = np.einsum("nohw,ocij->nchwij", dy, weight, optimize=True)
     dxp = np.zeros((n, c_in, h + kh - 1, w + kw - 1), dtype=x.dtype)
@@ -405,12 +414,17 @@ def conv2d_same_backward(dy, x, weight, with_bias=False):
     return dx, dweight, dbias
 
 
-def avg_pool_2x2(x):
-    """Non-overlapping 2x2 average pooling; H and W must be even."""
-    _check(x, "NCHW")
-    h, w = x.shape[2:]
+def _pooled_2x2(shape):
+    """Check an (N,C,H,W) shape for 2x2 pooling; return the pooled (N, C, H/2, W/2)."""
+    n, c, h, w = _check(shape, "NCHW")
     if h % 2 or w % 2:
         raise ShapeError(f"H and W must be even for 2x2 pooling, got {h}x{w}")
+    return n, c, h // 2, w // 2
+
+
+def avg_pool_2x2(x):
+    """Non-overlapping 2x2 average pooling; H and W must be even."""
+    _pooled_2x2(x.shape)
     out = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
     out += x[:, :, 1::2, 0::2]
     out += x[:, :, 1::2, 1::2]
@@ -419,8 +433,7 @@ def avg_pool_2x2(x):
 
 
 def avg_pool_2x2_backward(dy, orig_shape):
-    n, c, h, w = orig_shape
-    out = np.broadcast_to(
-        dy[:, :, :, None, :, None], (n, c, h // 2, 2, w // 2, 2)
-    ) / 4.0
-    return out.reshape(n, c, h, w)
+    n, c, h2, w2 = pooled = _pooled_2x2(orig_shape)
+    _expect("dy", dy, pooled)
+    out = np.broadcast_to(dy[:, :, :, None, :, None], (n, c, h2, 2, w2, 2)) / 4.0
+    return out.reshape(orig_shape)

@@ -175,11 +175,13 @@ def _edit_header(edit):
     return defect
 
 
-def _nan_in_first_tensor(blob):
-    """The model file `blob` with its first (float64) tensor's first element set to NaN."""
-    n = int.from_bytes(blob[8:16], "little")
-    at = 16 + n + json.loads(blob[16:16 + n])["tensors"][0]["offset"]
-    return blob[:at] + struct.pack("<d", float("nan")) + blob[at + 8:]
+def _first_value(value):
+    """A defect that sets the first element of the first (float64) tensor to `value`."""
+    def defect(blob):
+        n = int.from_bytes(blob[8:16], "little")
+        at = 16 + n + json.loads(blob[16:16 + n])["tensors"][0]["offset"]
+        return blob[:at] + struct.pack("<d", value) + blob[at + 8:]
+    return defect
 
 
 MODEL_DEFECTS = {
@@ -210,7 +212,9 @@ MODEL_DEFECTS = {
         h["meta"].update(stage_channels=[]),
         h.update(tensors=[t for t in h["tensors"] if t["name"].startswith("head.")]))),
     # well formed, but the heatmaps it gives are all zeros
-    "non-finite-tensor": _nan_in_first_tensor,
+    "non-finite-tensor": _first_value(float("nan")),
+    # finite, but the activations overflow
+    "overflowing-tensor": _first_value(1e300),
     # the first conv weight alone would take 6.4 PiB, beyond any address space
     "stage-channels-beyond-memory": _edit_header(
         lambda h: h["meta"].update(stage_channels=[10**14])),
@@ -298,10 +302,14 @@ def _placement_with_channels(d, channels):
 
 
 # 10**14 channels: the first array alone is 4.9 PiB, beyond any address space,
-# so the allocation fails at once. Each case gives (argv, start of the error line).
+# so the allocation fails at once; 2**63 is past any size numpy can represent.
+# Each case gives (argv, start of the error line).
 BEYOND_MEMORY = {
     "audit-site-channels": lambda d: (
         ["audit", "--config", _placement_with_channels(d, 10**14), "--out", d / "r.csv"],
+        f"error: {d / 'huge.json'}: site 'a': "),
+    "audit-site-channels-unrepresentable": lambda d: (
+        ["audit", "--config", _placement_with_channels(d, 2**63), "--out", d / "r.csv"],
         f"error: {d / 'huge.json'}: site 'a': "),
     "gradcheck-shape": lambda d: (
         ["gradcheck", "--module", "ela-b", "--shape", f"1,{10**14},1,1"], "error:"),

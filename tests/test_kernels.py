@@ -16,19 +16,6 @@ def rand(shape, seed=0):
 
 
 class TestStripPool:
-    def test_h_matches_row_mean_oracle(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        assert np.allclose(K.strip_pool_h(x), [[[1.5, 3.5]]])
-
-    def test_w_matches_column_mean_oracle(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        assert np.allclose(K.strip_pool_w(x), [[[2.0, 3.0]]])
-
-    def test_constant_input(self):
-        x = np.full((2, 3, 4, 5), 2.5)
-        assert np.allclose(K.strip_pool_h(x), 2.5)
-        assert np.allclose(K.strip_pool_w(x), 2.5)
-
     def test_unit_extent_is_identity(self):
         x = rand((1, 2, 3, 1))
         assert np.array_equal(K.strip_pool_h(x), x[:, :, :, 0])
@@ -39,30 +26,17 @@ class TestStripPool:
         x = rand((2, 3, 4, 5))
         assert np.array_equal(K.strip_pool_w(x.transpose(0, 1, 3, 2)), K.strip_pool_h(x))
 
-    def test_linearity(self):
-        x, y = rand((2, 3, 4, 5), 1), rand((2, 3, 4, 5), 2)
-        for pool in (K.strip_pool_h, K.strip_pool_w):
-            lhs = pool(0.3 * x + 1.7 * y)
-            rhs = 0.3 * pool(x) + 1.7 * pool(y)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_backward_mean_adjoint(self):
-        dz = np.ones((1, 1, 1))
-        dx = K.strip_pool_backward(dz, (1, 1, 1, 4), pooled_axis=3)
-        assert np.allclose(dx, 0.25)
-        assert np.allclose(K.strip_pool_backward(np.zeros((1, 1, 3)), (1, 1, 3, 4), 3), 0.0)
-
     def test_backward_is_read_only_view(self):
         dz = rand((1, 2, 3), 5)
         for dx in (K.strip_pool_backward(dz, (1, 2, 3, 4), pooled_axis=3),
                    K.strip_pool_backward(dz, (1, 2, 4, 3), pooled_axis=2)):
             assert not dx.flags.writeable
 
-    def test_shape_errors(self):
+    # each dz has the shape an unchecked slice at that axis would take
+    @pytest.mark.parametrize("axis, dz_shape", [(-1, (1, 2, 3)), (1, (1, 3, 4)), (4, (1, 2, 3, 4))])
+    def test_backward_pools_only_over_h_or_w(self, axis, dz_shape):
         with pytest.raises(K.ShapeError):
-            K.strip_pool_h(rand((2, 3, 4)))
-        with pytest.raises(K.ShapeError):
-            K.strip_pool_backward(rand((1, 1, 5)), (1, 1, 3, 4), pooled_axis=3)
+            K.strip_pool_backward(rand(dz_shape), (1, 2, 3, 4), axis)
 
 
 def reference_conv1d_grouped(x, weight, groups):
@@ -150,24 +124,16 @@ class TestConv1dGrouped:
                 K.conv1d_grouped_backward(rand(x.shape), x, w)
 
 
-class TestConv1x1:
-    def test_identity_weight(self):
-        x = rand((2, 3, 5))
-        assert np.allclose(K.conv2d_1x1(x, np.eye(3)), x)
-
-    def test_channel_sum(self):
-        x = rand((1, 2, 4))
-        out = K.conv2d_1x1(x, np.array([[1.0, 1.0]]))
-        assert np.allclose(out[0, 0], x[0, 0] + x[0, 1])
-
-    def test_channel_mismatch(self):
+def test_conv2d_1x1_preconditions():
+    # callers pass CA's (N,C,H+W) strips and SE's (N,C,1) pool; the backward rejects the same
+    for x_shape, w_shape in (((1, 3, 4), (2, 4)),     # a weight for 4 channels
+                             ((1, 3, 2, 2), (2, 3)),  # not (N,C,L)
+                             ((1, 3, 4), (3,))):      # a weight without C_out
+        x, w = rand(x_shape), rand(w_shape)
         with pytest.raises(K.ShapeError):
-            K.conv2d_1x1(rand((1, 3, 4)), rand((2, 4)))
-
-    def test_takes_only_ncl(self):
-        # its callers pass CA's (N,C,H+W) strips and SE's (N,C,1) pool
+            K.conv2d_1x1(x, w)
         with pytest.raises(K.ShapeError):
-            K.conv2d_1x1(rand((1, 3, 2, 2)), rand((2, 3)))
+            K.conv2d_1x1_backward(rand((1, 2, 4)), x, w)
 
 
 class TestBatchNorm:
@@ -381,38 +347,21 @@ class TestActivations:
         assert np.isclose(K.hard_swish(np.array(1.0)), 1.0 * 4.0 / 6.0)
 
 
-class TestBroadcastMulHw:
-    def test_all_ones_gates(self):
-        x = rand((2, 3, 4, 5))
-        ones_h = np.ones((2, 3, 4))
-        ones_w = np.ones((2, 3, 5))
-        assert np.array_equal(K.broadcast_mul_hw(x, ones_h, ones_w), x)
-
-    def test_half_gates(self):
-        x = rand((1, 2, 3, 4))
-        y = K.broadcast_mul_hw(x, np.full((1, 2, 3), 0.5), np.full((1, 2, 4), 0.5))
-        assert np.allclose(y, 0.25 * x)
-
-    def test_shape_mismatch(self):
+def test_broadcast_mul_hw_preconditions():
+    # an (N,C,H,W) x takes (N,C,H) and (N,C,W) gates; the backward rejects the same
+    for x_shape, ah_shape, aw_shape in (((1, 2, 3, 4), (1, 2, 4), (1, 2, 4)),  # ah sized by W
+                                        ((1, 2, 3, 4), (1, 2, 3), (1, 2, 3)),  # aw sized by H
+                                        ((1, 2, 3, 4), (2, 2, 3), (1, 2, 4)),  # another batch
+                                        ((2, 3, 4), (2, 3), (2, 4))):          # not (N,C,H,W)
+        x, ah, aw = rand(x_shape), rand(ah_shape), rand(aw_shape)
         with pytest.raises(K.ShapeError):
-            K.broadcast_mul_hw(rand((1, 2, 3, 4)), rand((1, 2, 4)), rand((1, 2, 4)))
+            K.broadcast_mul_hw(x, ah, aw)
+        with pytest.raises(K.ShapeError):
+            K.broadcast_mul_hw_backward(rand(x_shape), x, ah, aw)
 
 
-class TestGlobalAvgPool:
-    def test_mean_oracle(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2)
-        assert np.allclose(K.global_avg_pool(x), 2.5)
-
-    def test_constant(self):
-        assert np.allclose(K.global_avg_pool(np.full((2, 3, 4, 5), 1.5)), 1.5)
-
-    def test_equals_iterated_strip_pool(self):
-        x = rand((2, 3, 4, 5), 42)
-        via_strips = K.strip_pool_h(x).mean(axis=2)[:, :, None]
-        assert np.max(np.abs(K.global_avg_pool(x) - via_strips)) < 1e-12
-
-    def test_backward_is_read_only_view(self):
-        assert not K.global_avg_pool_backward(rand((1, 2, 1)), (1, 2, 3, 4)).flags.writeable
+def test_global_avg_pool_backward_is_read_only_view():
+    assert not K.global_avg_pool_backward(rand((1, 2, 1)), (1, 2, 3, 4)).flags.writeable
 
 
 def reference_conv2d_same(x, weight, bias):
@@ -446,11 +395,6 @@ class Test2dToyKernels:
             K.conv2d_same(x, w, np.zeros(3))
         with pytest.raises(K.ShapeError):
             K.conv2d_same_backward(rand((1, 3, 4, 4)), x, w)
-
-    def test_avg_pool_2x2(self):
-        x = np.arange(16.0).reshape(1, 1, 4, 4)
-        out = K.avg_pool_2x2(x)
-        assert np.allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +680,33 @@ def test_float32_inputs_keep_float32(case):
     grads = backward(rand(y.shape, 50).astype(np.float32), *inputs)
     grads = grads if isinstance(grads, tuple) else (grads,)
     assert [a.dtype for a in (y, *grads)] == [np.float32] * (1 + len(inputs))
+
+
+@pytest.mark.parametrize("case", ADJOINT_CASES)
+def test_backward_rejects_a_dy_its_forward_could_not_make(case):
+    # numpy would broadcast some of these, a batch of 1 above all, to a wrong answer
+    forward, inputs, backward, _ = ADJOINT_CASES[case]
+    shape = forward(*inputs).shape
+    for wrong in (shape[:-1] + (shape[-1] + 1,), (2 if shape[0] == 1 else 1,) + shape[1:]):
+        with pytest.raises(K.ShapeError):
+            backward(rand(wrong, 50), *inputs)
+
+
+# a pool's backward takes its forward's input shape: each shape here is one
+# the forward rejects, with the dz a backward without that check would take
+@pytest.mark.parametrize("case, shape, dz_shape", [
+    ("strip_pool_h-wide", (2, 3, 4), (2, 3, 4)), ("strip_pool_w-wide", (1, 2, 0, 4), (1, 2, 4)),
+    ("global_avg_pool", (1, 2, 3, 0), (1, 2, 1)),
+    ("avg_pool_2x2", (1, 2, 3, 4), (1, 2, 1, 2)), ("avg_pool_2x2", (1, 2, 4, 5), (1, 2, 2, 2)),
+], ids=["strip_pool_h-rank-3", "strip_pool_w-empty", "global_avg_pool-empty",
+        "avg_pool_2x2-odd-h", "avg_pool_2x2-odd-w"])
+def test_pool_backward_rejects_a_shape_its_forward_rejects(case, shape, dz_shape):
+    forward, _, backward, _ = ADJOINT_CASES[case]
+    x = np.zeros(shape)
+    with pytest.raises(K.ShapeError):
+        forward(x)
+    with pytest.raises(K.ShapeError):
+        backward(rand(dz_shape), x)
 
 
 def test_every_public_backward_has_an_adjoint_case():
