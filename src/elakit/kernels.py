@@ -22,7 +22,8 @@ Group norm's epsilon is the constant GN_EPS.
 Forward kernels index their parameters from the right, so a parameter may
 carry a leading per-sample axis: a weight stack is (N, *shape) and a
 per-channel stack is (N, C), read as (N, C, 1) against the batch, so sample n
-reads parameter set n. Backward kernels take one parameter set.
+reads parameter set n. Backward kernels take one parameter set and raise
+ShapeError for a stack.
 """
 
 from dataclasses import dataclass, field
@@ -146,6 +147,7 @@ def conv1d_grouped_backward(dy, x, weight):
     dx correlates the same-padded dy windows with the flipped kernel.
     """
     groups = _conv1d_groups(x, weight)
+    _expect("weight", weight, weight.shape[-3:])
     _expect("dy", dy, x.shape)
     n, c, length = x.shape
     cpg, k = weight.shape[-2:]
@@ -181,6 +183,7 @@ def conv2d_1x1(x, weight, bias=None):
 def conv2d_1x1_backward(dy, x, weight):
     """Adjoint of conv2d_1x1: returns (dx, dweight, dbias)."""
     _expect("dy", dy, _conv1x1_shape(x, weight))
+    _expect("weight", weight, weight.shape[-2:])
     dx = weight.T @ dy
     dweight = np.tensordot(dy, x, axes=([0, 2], [0, 2]))
     return dx, dweight, dy.sum(axis=(0, 2))
@@ -280,6 +283,7 @@ def batch_norm_backward(dy, cache):
     dy * gamma / sqrt(running_var + eps) per channel."""
     xhat, inv_std, gamma, running = cache
     _expect("dy", dy, xhat.shape)
+    _expect("gamma", gamma, xhat.shape[1:2])
     if running:
         dx = dy * (gamma * inv_std)[:, None]
         return dx, (dy * xhat).sum(axis=(0, 2)), dy.sum(axis=(0, 2))
@@ -301,6 +305,7 @@ def group_norm_backward(dy, cache):
     """Adjoint of group_norm: returns (dx, dgamma, dbeta)."""
     xhat, inv_std, gamma, num_groups = cache
     _expect("dy", dy, xhat.shape)
+    _expect("gamma", gamma, xhat.shape[1:2])
     return _standardize_backward(dy, xhat, gamma, inv_std, (dy.shape[0], num_groups, -1), 2)
 
 
@@ -372,6 +377,25 @@ def broadcast_mul_hw_backward(dy, x, ah, aw):
     dx = np.multiply(dy, ah[..., None], out=dyx)
     dx *= aw[..., None, :]
     return dx, dah, daw
+
+
+def _channel_gate(x, gate):
+    """Check broadcast_mul_c's operands: x is (N,C,H,W) and gate (N,C,1)."""
+    n, c, _, _ = _check(x.shape, "NCHW")
+    _expect("gate", gate, (n, c, 1))
+
+
+def broadcast_mul_c(x, gate):
+    """Y[n,c,i,j] = x[n,c,i,j] * gate[n,c,0]: SE's and ECA's per-channel gating."""
+    _channel_gate(x, gate)
+    return x * gate[:, :, :, None]
+
+
+def broadcast_mul_c_backward(dy, x, gate):
+    """Adjoint of broadcast_mul_c: returns (dx, dgate)."""
+    _channel_gate(x, gate)
+    _expect("dy", dy, x.shape)
+    return dy * gate[:, :, :, None], (dy * x).sum(axis=(2, 3))[:, :, None]
 
 
 # ---------------------------------------------------------------------------

@@ -152,10 +152,11 @@ def he_normal(rng, shape, fan_in):
 # ---------------------------------------------------------------------------
 
 class _Block:
-    """Construction and the backward guard of every block. A block is built
-    from a registered config (see REGISTRY and build_attention); its
-    `_init(rng)` derives its sizes from `cfg` and `channels` and adds its
-    parameters to `params`, and it implements `_backward(dy, *self._cache)`."""
+    """Construction and the cache check of every block; its gate kernel checks
+    dy's shape. A block is built from a registered config (see REGISTRY and
+    build_attention); its `_init(rng)` derives its sizes from `cfg` and
+    `channels` and adds its parameters to `params`, and it implements
+    `_backward(dy, *self._cache)`."""
 
     def __init__(self, channels, cfg, seed=0):
         self.cfg = cfg
@@ -172,9 +173,6 @@ class _Block:
     def backward(self, dy):
         if self._cache is None:
             raise RuntimeError("backward requires forward(keep_intermediates=True)")
-        x = self._cache[0]  # y has the shape of x, and dy must have it too
-        if dy.shape != x.shape:
-            raise K.ShapeError(f"dy shape {dy.shape} differs from the output shape {x.shape}")
         return self._backward(dy, *self._cache)
 
 
@@ -190,8 +188,7 @@ class _DirectionalBlock(_Block):
         ah = K.sigmoid(lh)
         aw = K.sigmoid(lw)
         y = K.broadcast_mul_hw(x, ah, aw)
-        if keep_intermediates:
-            self._cache = (x, *inner, ah, aw)
+        self._cache = (x, *inner, ah, aw) if keep_intermediates else None
         return y, AttentionMaps(ah, aw)
 
     def _backward(self, dy, x, *rest):
@@ -214,15 +211,13 @@ class _ChannelBlock(_Block):
         pooled = K.global_avg_pool(x)  # (N,C,1)
         logits, inner = self._logits(pooled)
         gate = K.sigmoid(logits)  # (N,C,1)
-        y = x * gate[:, :, :, None]
-        if keep_intermediates:
-            self._cache = (x, *inner, gate)
+        y = K.broadcast_mul_c(x, gate)
+        self._cache = (x, *inner, gate) if keep_intermediates else None
         return y, ChannelGate(gate[:, :, 0])
 
     def _backward(self, dy, x, *rest):
         *inner, gate = rest
-        dx = dy * gate[:, :, :, None]
-        dgate = (dy * x).sum(axis=(2, 3))[:, :, None]
+        dx, dgate = K.broadcast_mul_c_backward(dy, x, gate)
         dpooled = self._logits_backward(K.sigmoid_backward(dgate, gate), *inner)
         dx += K.global_avg_pool_backward(dpooled, x.shape)
         return dx

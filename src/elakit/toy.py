@@ -147,8 +147,7 @@ class MiniCnn:
             cache.append((x_in, act))
         feat = h.reshape(h.shape[0], -1)
         logits = feat @ self.params.value("head.weight").T + self.params.value("head.bias")
-        if keep_intermediates:
-            self._cache = (cache, h.shape, feat)
+        self._cache = (cache, h.shape, feat) if keep_intermediates else None
         return logits
 
     def backward(self, dlogits):

@@ -347,8 +347,9 @@ class TestActivations:
         assert np.isclose(K.hard_swish(np.array(1.0)), 1.0 * 4.0 / 6.0)
 
 
-def test_broadcast_mul_hw_preconditions():
-    # an (N,C,H,W) x takes (N,C,H) and (N,C,W) gates; the backward rejects the same
+def test_gating_preconditions():
+    # an (N,C,H,W) x takes (N,C,H) and (N,C,W) gates, or one (N,C,1) gate;
+    # each backward rejects what its forward rejects
     for x_shape, ah_shape, aw_shape in (((1, 2, 3, 4), (1, 2, 4), (1, 2, 4)),  # ah sized by W
                                         ((1, 2, 3, 4), (1, 2, 3), (1, 2, 3)),  # aw sized by H
                                         ((1, 2, 3, 4), (2, 2, 3), (1, 2, 4)),  # another batch
@@ -358,6 +359,15 @@ def test_broadcast_mul_hw_preconditions():
             K.broadcast_mul_hw(x, ah, aw)
         with pytest.raises(K.ShapeError):
             K.broadcast_mul_hw_backward(rand(x_shape), x, ah, aw)
+    for x_shape, gate_shape in (((1, 2, 3, 4), (1, 2)),      # no trailing unit axis
+                                ((1, 2, 3, 4), (1, 2, 4)),   # sized by W
+                                ((1, 2, 3, 4), (2, 2, 1)),   # another batch
+                                ((2, 3, 4), (2, 3, 1))):     # not (N,C,H,W)
+        x, gate = rand(x_shape), rand(gate_shape)
+        with pytest.raises(K.ShapeError):
+            K.broadcast_mul_c(x, gate)
+        with pytest.raises(K.ShapeError):
+            K.broadcast_mul_c_backward(rand(x_shape), x, gate)
 
 
 def test_global_avg_pool_backward_is_read_only_view():
@@ -571,6 +581,31 @@ def test_a_per_sample_parameter_stack_runs_each_sample_with_its_own_set(case):
         np.testing.assert_array_equal(out[i], forward(x, *(s[i] for s in stacks))[i])
 
 
+def two_sample_stack(p):
+    return np.stack([p, 2.0 * p])
+
+
+# name -> backward of (dy, x) handed the stack, or the cache, of a forward
+# that ran with a two-sample parameter stack
+STACKED_BACKWARDS = {
+    "conv1d_grouped": lambda dy, x: K.conv1d_grouped_backward(
+        dy, x, two_sample_stack(rand((2, 1, 3), 2))),
+    "conv2d_1x1": lambda dy, x: K.conv2d_1x1_backward(dy, x, two_sample_stack(rand((2, 2), 2))),
+    "batch_norm": lambda dy, x: K.batch_norm_backward(dy, K.batch_norm(
+        x, K.NormState(2), two_sample_stack(1.0 + rand(2, 2)), two_sample_stack(rand(2, 3)))[1]),
+    "group_norm": lambda dy, x: K.group_norm_backward(dy, K.group_norm(
+        x, 2, two_sample_stack(1.0 + rand(2, 2)), two_sample_stack(rand(2, 3)))[1]),
+}
+
+
+@pytest.mark.parametrize("case", STACKED_BACKWARDS)
+def test_backward_rejects_a_parameter_stack(case):
+    # a backward takes one parameter set; given a stack it would return a
+    # wrong dx, a gradient of one set's shape, or fail inside numpy
+    with pytest.raises(K.ShapeError):
+        STACKED_BACKWARDS[case](rand((2, 2, 4), 4), rand((2, 2, 4), 1))
+
+
 # the extents a strip or gating kernel meets: wider than tall, taller than
 # wide, one row and one column
 STRIPS = {"wide": rand((2, 4, 3, 7), 3), "tall": rand((2, 4, 7, 3), 7),
@@ -642,6 +677,10 @@ ADJOINT_CASES = {
         K.broadcast_mul_hw, [x, rand(x.shape[:3], 37), rand(x.shape[:2] + x.shape[3:], 38)],
         lambda dy, x, ah, aw: K.broadcast_mul_hw_backward(dy, x, ah, aw), 1e-6)
        for tag, x in STRIPS.items() if tag in ("row", "column")},
+    **{name: (K.broadcast_mul_c, [rand(shape, 39), rand(shape[:2] + (1,), 40)],
+              lambda dy, x, gate: K.broadcast_mul_c_backward(dy, x, gate), 1e-6)
+       for name, shape in [("broadcast_mul_c", (2, 3, 4, 5)),
+                           ("broadcast_mul_c-unit", (1, 2, 1, 1))]},
     **{name: (K.conv2d_same, [rand(x_shape, 45), rand(w_shape, 46), rand(w_shape[0], 47)],
               lambda dy, x, w, b: K.conv2d_same_backward(dy, x, w, with_bias=True), 1e-6)
        for name, x_shape, w_shape in [("conv2d_same", (1, 2, 4, 4), (3, 2, 3, 3)),

@@ -310,10 +310,16 @@ class TestGradients:
         assert np.array_equal(x, x0) and np.array_equal(dy, dy0)
         assert dx.flags.writeable and dx.flags.owndata
 
-    def test_backward_requires_cache(self):
-        m = build_attention("se", 16, seed=0)
+    @pytest.mark.parametrize("kind", MODULE_CHOICES)
+    def test_backward_requires_cache(self, kind):
+        m = build_attention(kind, 16, seed=0)
         with pytest.raises(RuntimeError):
             m.backward(rand((1, 16, 2, 2)))
+        # a forward that keeps nothing drops the cache of an earlier input
+        m.forward(rand((2, 16, 5, 7), 28), keep_intermediates=True)
+        m.forward(rand((2, 16, 5, 7), 29))
+        with pytest.raises(RuntimeError):
+            m.backward(rand((2, 16, 5, 7), 30))
 
     @pytest.mark.parametrize("kind", MODULE_CHOICES)
     def test_backward_rejects_dy_of_another_shape(self, kind):

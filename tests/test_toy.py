@@ -158,6 +158,13 @@ class TestMiniCnn:
             err = max_rel_error(model.params.grad(name), numeric)
             assert err < 1e-4, f"{name}: {err}"
 
+    def test_backward_after_a_forward_that_kept_nothing_raises(self):
+        model = self.tiny_model()
+        model.forward(make_toy_batch(2, seed=14, size=8).images, keep_intermediates=True)
+        model.forward(make_toy_batch(2, seed=15, size=8).images)
+        with pytest.raises(RuntimeError):
+            model.backward(np.ones((2, 4)))
+
     def test_zero_lr_leaves_params_unchanged(self):
         model = self.tiny_model()
         before = {name: model.params.value(name).copy() for name in model.params.names()}
