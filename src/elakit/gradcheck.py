@@ -6,14 +6,15 @@ random direction R so a scalar loss sum(y * R) exercises every output entry;
 analytic gradients then come from backward(R).
 
 One loop forms every central-difference point, for fd_gradient and for the
-module checks alike, and evaluates the points in chunks of stacked rows. Both
-module checks stack several copies of x on the batch axis per forward and read
-one loss per copy: the input check perturbs each copy of x, and a parameter
-check gives each copy its own perturbed parameter, installed as a per-sample
-parameter stack that the forward kernels broadcast against the batch. A chunk
-holds at most _STACK_ELEMENTS input elements, and one copy when x alone is
-larger or when the block's `couples_samples` is true (BN in train mode
-normalizes over the batch).
+module checks alike, and evaluates the points in chunks of stacked rows. The
+module checks share one evaluator for the input and every parameter: each
+forward stacks several copies of x on the batch axis and reads one loss per
+copy. Input rows are perturbed copies of x; a parameter's rows give each copy
+its own perturbed parameter, installed as a per-sample parameter stack that
+the forward kernels broadcast against the batch. A chunk holds at most
+_STACK_ELEMENTS input elements, and one copy when x alone is larger or when
+the block's `couples_samples` is true (BN in train mode normalizes over the
+batch).
 """
 
 import copy
@@ -67,48 +68,32 @@ def max_rel_error(analytic, numeric):
     return float(np.max(np.abs(a - n) / denom))
 
 
-def _projected_losses(module, batch, direction):
-    """sum(y * direction) for each copy of x stacked on the batch axis of `batch`."""
-    y, _ = module.forward(batch)
-    return np.add.reduce(y.reshape(-1, direction.size) * direction.reshape(-1), axis=1)
-
-
-def _copies(module, x):
-    """Copies of x per stacked forward of the module checks."""
-    return 1 if module.couples_samples else max(1, _STACK_ELEMENTS // x.size)
-
-
-def _input_fd(module, x, direction):
-    """fd_gradient of sum(module.forward(x) * direction) with respect to x,
-    evaluated on chunks of perturbed copies of x stacked on the batch axis."""
+def _numeric_gradients(module, x, direction):
+    """{"input": ..., <param name>: ...}: central differences of
+    sum(module.forward(x) * direction) with respect to x and to each
+    parameter. Sample j*N+i of a parameter's per-sample stack reads row j;
+    the entry's own array is put back afterwards."""
     x = np.asarray(x, dtype=float)
-    batch_shape = (-1,) + x.shape[1:]
-    return _central_differences(
-        lambda rows: _projected_losses(module, rows.reshape(batch_shape), direction),
-        x, _copies(module, x),
-    )
-
-
-def _param_fd(module, x, direction):
-    """{name: fd_gradient of sum(module.forward(x) * direction) with respect
-    to that parameter}, evaluated on chunks of copies of x stacked on the
-    batch axis. A chunk's m perturbed rows go in as the entry's value for one
-    forward, a per-sample stack in which sample j*N+i reads row j; the
-    entry's own array is put back afterwards."""
-    x = np.asarray(x, dtype=float)
-    n, copies = x.shape[0], _copies(module, x)
+    n = x.shape[0]
+    copies = 1 if module.couples_samples else max(1, _STACK_ELEMENTS // x.size)
     batch = np.concatenate([x] * copies)
-    numeric = {}
+
+    def losses(stacked_batch):
+        y, _ = module.forward(stacked_batch)
+        return np.add.reduce(y.reshape(-1, direction.size) * direction.reshape(-1), axis=1)
+
+    numeric = {"input": _central_differences(
+        lambda rows: losses(rows.reshape((-1,) + x.shape[1:])), x, copies)}
     for name, entry in module.params.items():
         value = entry.value
 
-        def losses(rows, entry=entry, shape=value.shape):
+        def param_losses(rows, entry=entry, shape=value.shape):
             m = rows.shape[0]
             entry.value = np.repeat(rows.reshape((m,) + shape), n, axis=0)
-            return _projected_losses(module, batch[:m * n], direction)
+            return losses(batch[:m * n])
 
         try:
-            numeric[name] = _central_differences(losses, value, copies)
+            numeric[name] = _central_differences(param_losses, value, copies)
         finally:
             entry.value = value
     return numeric
@@ -131,7 +116,6 @@ def check_module_gradients(module, x, direction_seed=0):
     module.params.zero_grads()
     dx = module.backward(direction.copy())
 
-    errors = {"input": max_rel_error(dx, _input_fd(module, x, direction))}
-    for name, numeric in _param_fd(module, x, direction).items():
-        errors[name] = max_rel_error(module.params.grad(name), numeric)
-    return errors
+    numeric = _numeric_gradients(module, x, direction)
+    analytic = {"input": dx, **{name: module.params.grad(name) for name in module.params.names()}}
+    return {name: max_rel_error(analytic[name], numeric[name]) for name in numeric}

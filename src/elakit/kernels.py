@@ -120,10 +120,10 @@ def _group_columns(a, groups, k):
 def _conv1d_groups(x, weight):
     """Check conv1d_grouped's operands and return their groups, C / weight.shape[-2]."""
     _, c, _ = _check(x.shape, "NCL")
-    c_out, cpg, k = weight.shape[-3:]
+    c_out, cpg, k = _check(weight.shape[-3:], "OIK")
     if k % 2 == 0:
         raise ShapeError(f"kernel size must be odd, got {k}")
-    if c_out != c or cpg == 0 or c % cpg != 0:
+    if c_out != c or c % cpg != 0:
         raise ShapeError(f"weight {weight.shape[-3:]} is not (C, C/groups, k) for C={c}")
     return c // cpg
 
@@ -405,7 +405,7 @@ def broadcast_mul_c_backward(dy, x, gate):
 def _conv2d_windows(x, weight):
     """Check conv2d_same's operands; return x's same-padded windows, (N,C,H,W,kh,kw)."""
     _check(x.shape, "NCHW")
-    _, c_in, kh, kw = weight.shape
+    _, c_in, kh, kw = _check(weight.shape, "OIHW")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"kernel dims must be odd, got {kh}x{kw}")
     if c_in != x.shape[1]:

@@ -8,6 +8,11 @@ REGISTRY names every block kind once. Each config carries its block's
 closed-form parameter and MAC counts; they follow the formula sheet in
 elakit.accounting, whose enumeration oracle checks them.
 
+Non-finite input passes through unchecked: a NaN reaches the output and dx
+of its own sample, and of the others only where train-mode BN couples the
+samples (`couples_samples`). An infinite element also makes numpy emit its
+invalid-value RuntimeWarning. Training stops on a non-finite loss.
+
 Bias policy: ELA 1D convs carry no bias (the following GN beta absorbs it);
 CA's channel-reduction conv F1 carries no bias (a norm follows), while the
 expansion convs F_h/F_w carry biases because they feed sigmoid directly.

@@ -1,14 +1,14 @@
 """Central differences: fd_gradient matches a per-element reference loop
-bitwise, and the module input and parameter checks' stacked evaluations match
-fd_gradient bitwise, with one copy per forward where samples couple and
-bounded chunks."""
+bitwise, and the module checks' stacked evaluator matches fd_gradient bitwise
+for the input and every parameter, with one copy per forward where samples
+couple and bounded chunks."""
 
 import numpy as np
 import pytest
 
 from elakit import gradcheck
 from elakit import kernels as K
-from elakit.gradcheck import _input_fd, _param_fd, check_module_gradients, fd_gradient
+from elakit.gradcheck import _numeric_gradients, check_module_gradients, fd_gradient
 from elakit.modules import MODULE_CHOICES, CoordinateAttention, build_attention
 
 SHAPE = (2, 16, 5, 7)
@@ -87,12 +87,19 @@ def test_fd_gradient_leaves_its_argument_unchanged():
 
 
 @pytest.mark.parametrize("kind", MODULE_CHOICES)
-def test_stacked_input_fd_matches_fd_gradient(kind):
+def test_stacked_fd_matches_fd_gradient(kind):
     x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
     module = build_attention(kind, SHAPE[1], seed=3)
+    stacked = _numeric_gradients(module, x, direction)
+    assert list(stacked) == ["input", *module.params.names()]
     np.testing.assert_array_equal(
-        _input_fd(module, x, direction), fd_gradient(projected_loss(module, direction), x)
+        stacked.pop("input"), fd_gradient(projected_loss(module, direction), x)
     )
+    for name, numeric in stacked.items():
+        value = module.params.value(name)
+        expected = fd_gradient(param_loss(module, name, x, direction), value)
+        module.params.set_value(name, value)
+        np.testing.assert_array_equal(numeric, expected, err_msg=name)
 
 
 def test_coupling_is_declared_by_the_block():
@@ -138,8 +145,8 @@ def test_stacked_batches_stay_within_the_budget(monkeypatch, kind):
     x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
     module = build_attention(kind, SHAPE[1], seed=3)
     batches = record_batches(monkeypatch, module)
-    _input_fd(module, x, direction)
-    assert_within_the_budget(batches, x, 2 * x.size)
+    _numeric_gradients(module, x, direction)
+    assert_within_the_budget(batches, x, 2 * (x.size + module.params.total_params()))
 
 
 def test_coupled_block_runs_one_copy_per_forward(monkeypatch):
@@ -157,30 +164,8 @@ def test_input_larger_than_the_budget_runs_one_copy_per_forward(monkeypatch):
     direction = rand(x.shape, 2)
     module = build_attention("eca", x.shape[1], seed=3)
     batches = record_batches(monkeypatch, module)
-    _input_fd(module, x, direction)
-    assert batches == [x.shape[0]] * (2 * x.size)
-
-
-@pytest.mark.parametrize("kind", MODULE_CHOICES)
-def test_stacked_param_fd_matches_fd_gradient(kind):
-    x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
-    module = build_attention(kind, SHAPE[1], seed=3)
-    stacked = _param_fd(module, x, direction)
-    assert list(stacked) == module.params.names()
-    for name, numeric in stacked.items():
-        value = module.params.value(name)
-        expected = fd_gradient(param_loss(module, name, x, direction), value)
-        module.params.set_value(name, value)
-        np.testing.assert_array_equal(numeric, expected, err_msg=name)
-
-
-@pytest.mark.parametrize("kind", ["se", "ela-b", "ca-gn"])
-def test_stacked_param_batches_stay_within_the_budget(monkeypatch, kind):
-    x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
-    module = build_attention(kind, SHAPE[1], seed=3)
-    batches = record_batches(monkeypatch, module)
-    _param_fd(module, x, direction)
-    assert_within_the_budget(batches, x, 2 * module.params.total_params())
+    _numeric_gradients(module, x, direction)
+    assert batches == [x.shape[0]] * (2 * (x.size + module.params.total_params()))
 
 
 def test_stacking_a_coupled_block_breaks_its_f1_weight_check(monkeypatch):
@@ -203,21 +188,26 @@ def test_checks_leave_the_parameter_arrays_as_they_were(kind):
     module = build_attention(kind, SHAPE[1], seed=3)
     before = {name: (entry.value, entry.value.copy()) for name, entry in module.params.items()}
     check_module_gradients(module, x, direction_seed=2)
-    _param_fd(module, x, direction)
+    _numeric_gradients(module, x, direction)
     for name, entry in module.params.items():
         assert entry.value is before[name][0]
         np.testing.assert_array_equal(entry.value, before[name][1])
 
 
 def test_a_failed_forward_puts_the_parameter_array_back(monkeypatch):
+    # the forward fails only once a parameter's stack is installed, so the
+    # input's points all pass and the failure falls in a parameter's chunk
     x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
     module = build_attention("ela-b", SHAPE[1], seed=3)
     before = {name: entry.value for name, entry in module.params.items()}
+    forward = type(module).forward
 
     def failing(self, x, keep_intermediates=False):
-        raise FloatingPointError("forward failed")
+        if any(entry.value is not before[name] for name, entry in self.params.items()):
+            raise FloatingPointError("forward failed")
+        return forward(self, x, keep_intermediates)
 
     monkeypatch.setattr(type(module), "forward", failing)
     with pytest.raises(FloatingPointError):
-        _param_fd(module, x, direction)
+        _numeric_gradients(module, x, direction)
     assert all(entry.value is before[name] for name, entry in module.params.items())

@@ -115,6 +115,7 @@ class TestConv1dGrouped:
                         (4, 3, 3),   # 3 channels per group do not split C=4
                         (4, 8, 3),   # nor do 8
                         (4, 0, 3),   # nor do 0
+                        (4, 3),      # a weight of too low a rank
                         (3, 2, 3),   # a first axis below C
                         (8, 2, 3)):  # and one above it
             w = rand(w_shape)
@@ -396,8 +397,8 @@ class Test2dToyKernels:
         np.testing.assert_allclose(K.conv2d_same(x, w, b), reference_conv2d_same(x, w, b),
                                    rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("w_shape", [(3, 2, 2, 3), (3, 2, 3, 2), (3, 4, 3, 3)],
-                             ids=["even-kh", "even-kw", "channel-mismatch"])
+    @pytest.mark.parametrize("w_shape", [(3, 2, 2, 3), (3, 2, 3, 2), (3, 4, 3, 3), (3, 3, 3)],
+                             ids=["even-kh", "even-kw", "channel-mismatch", "rank-3"])
     def test_conv2d_preconditions(self, w_shape):
         # the backward rejects what the forward rejects
         x, w = rand((1, 2, 4, 4)), rand(w_shape)

@@ -250,6 +250,21 @@ class TestStructuralInvariants:
         assert np.all(np.isfinite(y)) and np.all(np.isfinite(dx))
         assert all(np.all(np.isfinite(m.params.grad(n))) for n in m.params.names())
 
+    @pytest.mark.parametrize("kind", MODULE_CHOICES)
+    def test_nan_passes_through_silently_and_stays_in_its_sample(self, kind):
+        # blocks do not reject non-finite values: a NaN reaches the output and
+        # dx of its own sample, and train-mode BN alone carries it to others
+        m = build_attention(kind, 16, seed=3)
+        x = rand((2, 16, 5, 7), 1)
+        x[0, 3, 2, 4] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, _ = m.forward(x, keep_intermediates=True)
+            dx = m.backward(rand(y.shape, 2))
+        assert np.isnan(y[0]).any() and np.isnan(dx[0]).any()
+        assert np.isfinite(y[1]).all() == (not m.couples_samples)
+        assert np.isfinite(dx[1]).all() == (not m.couples_samples)
+
     def test_long_range_vs_channel_only_response(self):
         # a point perturbation must spread along the pierced row/column for
         # ELA, while SE rescales each channel uniformly
