@@ -194,6 +194,19 @@ def test_checks_leave_the_parameter_arrays_as_they_were(kind):
         np.testing.assert_array_equal(entry.value, before[name][1])
 
 
+@pytest.mark.parametrize("kind", MODULE_CHOICES)
+def test_checks_leave_the_input_and_direction_as_they_were(kind):
+    # every target's rows are perturbed copies: neither x nor the direction
+    # is written, on the stacked path or the one-copy path of a coupled block
+    x, direction = rand(SHAPE, 1), rand(SHAPE, 2)
+    x_before, direction_before = x.copy(), direction.copy()
+    module = build_attention(kind, SHAPE[1], seed=3)
+    check_module_gradients(module, x, direction_seed=2)
+    _numeric_gradients(module, x, direction)
+    np.testing.assert_array_equal(x, x_before)
+    np.testing.assert_array_equal(direction, direction_before)
+
+
 def test_a_failed_forward_puts_the_parameter_array_back(monkeypatch):
     # the forward fails only once a parameter's stack is installed, so the
     # input's points all pass and the failure falls in a parameter's chunk
