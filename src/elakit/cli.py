@@ -167,7 +167,11 @@ def cmd_train_toy(args):
     if not math.isfinite(args.lr):
         raise ValueError(f"--lr must be finite, got {args.lr}")
     model, state, data = train_toy(args.attention, args.steps, args.seed, lr=args.lr)
-    acc = evaluate(model, data.images, data.labels)
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # a model trained into overflow
+            acc = evaluate(model, data.images, data.labels)
+    except FloatingPointError as exc:
+        raise DivergenceError(f"{exc} after step {args.steps - 1}") from None
     final = json.dumps({"steps": args.steps, "train_accuracy": acc}, indent=2) + "\n"
     os.makedirs(args.out, exist_ok=True)
     atomic_write_files({

@@ -205,15 +205,13 @@ class NormState:
 
     num_channels: int
     mode: str = "train"  # train | eval
-    running_mean: np.ndarray = field(default=None)
-    running_var: np.ndarray = field(default=None)
-    initialized: bool = False
+    running_mean: np.ndarray = field(init=False)
+    running_var: np.ndarray = field(init=False)
+    initialized: bool = field(default=False, init=False)
 
     def __post_init__(self):
-        if self.running_mean is None:
-            self.running_mean = np.zeros(self.num_channels)
-        if self.running_var is None:
-            self.running_var = np.ones(self.num_channels)
+        self.running_mean = np.zeros(self.num_channels)
+        self.running_var = np.ones(self.num_channels)
 
 
 def _standardize(x, axes, eps):

@@ -8,7 +8,7 @@ advantage there, which makes localization claims checkable at desk scale.
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from elakit.params import ParamStore
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """Training diverged: a non-finite loss, or a numpy overflow or invalid value."""
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +87,26 @@ class MiniCnnConfig:
             self.attention = None if kind == "none" else kind
 
 
+@dataclass
+class Stage:
+    """One MiniCnn stage: the conv input, the post-attention, pre-relu map
+    that Grad-CAM weighs, and the block's `AttentionMaps`/`ChannelGate` (None
+    without attention). `backward` returns copies that add `grad`, the loss
+    gradient at `act`, so the model's cache keeps no gradient alive."""
+
+    x_in: np.ndarray
+    act: np.ndarray
+    maps: object
+    grad: np.ndarray | None = None
+
+
 class MiniCnn:
     """conv3x3 -> attention -> relu -> avgpool stages, then a linear head
     over the flattened final map. Explicit forward/backward; no tape.
 
     `params` holds all model state: each attention block's store is adopted
     as `stage{i}.attn.<name>`, its entries shared rather than copied.
-    `backward` returns, per stage, the post-attention map that Grad-CAM
-    weighs and the gradient of the loss with respect to it."""
+    `backward` returns one `Stage` record per stage."""
 
     def __init__(self, cfg, seed=0):
         self.cfg = cfg
@@ -132,48 +144,44 @@ class MiniCnn:
         self.params.zero_grads()
 
     def forward(self, x, keep_intermediates=False):
-        cache = []
+        stages = []
         h = x
-        for i in range(len(self.cfg.stage_channels)):
+        for i, attn in enumerate(self.attn):
             conv = f"stage{i}.block0.conv."
             x_in = h
             w, b = self.params.value(conv + "weight"), self.params.value(conv + "bias")
             h = K.conv2d_same(h, w, b)
-            if self.attn[i] is not None:
-                h, _ = self.attn[i].forward(h, keep_intermediates=keep_intermediates)
-            act = h  # post-attention, pre-relu
-            h = K.relu(h)
-            h = K.avg_pool_2x2(h)
-            cache.append((x_in, act))
-        feat = h.reshape(h.shape[0], -1)
+            maps = None
+            if attn is not None:
+                h, maps = attn.forward(h, keep_intermediates=keep_intermediates)
+            stages.append(Stage(x_in, h, maps))
+            h = K.avg_pool_2x2(K.relu(h))
+        feat = h.reshape(len(h), -1)
         logits = feat @ self.params.value("head.weight").T + self.params.value("head.bias")
-        self._cache = (cache, h.shape, feat) if keep_intermediates else None
+        self._cache = (stages, h) if keep_intermediates else None
         return logits
 
     def backward(self, dlogits):
         if self._cache is None:
             raise RuntimeError("backward requires forward(keep_intermediates=True)")
-        cache, last_shape, feat = self._cache
-        pairs = [None] * len(cache)
+        stages, h = self._cache
         w_head = self.params.value("head.weight")
-        self.params.accumulate_grad("head.weight", dlogits.T @ feat)
+        self.params.accumulate_grad("head.weight", dlogits.T @ h.reshape(len(h), -1))
         self.params.accumulate_grad("head.bias", dlogits.sum(axis=0))
-        dfeat = dlogits @ w_head
-        dh = dfeat.reshape(last_shape)
-        for i in reversed(range(len(cache))):
-            x_in, act = cache[i]
-            dh = K.avg_pool_2x2_backward(dh, act.shape)
-            dh = K.relu_backward(dh, act)
-            pairs[i] = (act, dh)
+        dh = (dlogits @ w_head).reshape(h.shape)
+        out = []
+        for i, stage in reversed(list(enumerate(stages))):
+            dh = K.relu_backward(K.avg_pool_2x2_backward(dh, stage.act.shape), stage.act)
+            out.append(replace(stage, grad=dh))
             if self.attn[i] is not None:
                 dh = self.attn[i].backward(dh)
             conv = f"stage{i}.block0.conv."
             dh, dw, db = K.conv2d_same_backward(
-                dh, x_in, self.params.value(conv + "weight"), with_bias=True
+                dh, stage.x_in, self.params.value(conv + "weight"), with_bias=True
             )
             self.params.accumulate_grad(conv + "weight", dw)
             self.params.accumulate_grad(conv + "bias", db)
-        return pairs
+        return out[::-1]
 
     @classmethod
     def load(cls, path):
@@ -233,6 +241,7 @@ def sgd_step(model, state):
         entry.value[...] -= state.lr * v
 
 
+@np.errstate(over="raise", invalid="raise")
 def train_toy(
     attention,
     steps,
@@ -244,7 +253,7 @@ def train_toy(
 ):
     """Train a MiniCnn on the quadrant task; returns (model, state, batch).
 
-    Raises DivergenceError if the loss becomes non-finite.
+    Raises DivergenceError at a non-finite loss, overflow or invalid value.
     """
     data = make_toy_batch(train_size, seed=seed)
     model = MiniCnn(MiniCnnConfig(attention=attention), seed=seed)
@@ -253,13 +262,16 @@ def train_toy(
     for step in range(steps):
         idx = order_rng.choice(train_size, size=batch_size, replace=False)
         x, labels = data.images[idx], data.labels[idx]
-        logits = model.forward(x, keep_intermediates=True)
-        loss, dlogits, acc = cross_entropy(logits, labels)
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss {loss} at step {step}")
-        model.zero_grads()
-        model.backward(dlogits)
-        sgd_step(model, state)
+        try:
+            logits = model.forward(x, keep_intermediates=True)
+            loss, dlogits, acc = cross_entropy(logits, labels)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite loss {loss} at step {step}")
+            model.zero_grads()
+            model.backward(dlogits)
+            sgd_step(model, state)
+        except FloatingPointError as exc:
+            raise DivergenceError(f"{exc} at step {step}") from None
         state.history.append((step, loss, acc))
     return model, state, data
 
@@ -320,9 +332,9 @@ def gradcam(model, x, class_indices):
     dlogits = np.zeros_like(logits)
     dlogits[np.arange(n), class_indices] = 1.0
     model.zero_grads()
-    act, grad = model.backward(dlogits)[-1]
-    weights = grad.mean(axis=(2, 3))  # (N, C)
-    cam = np.maximum((weights[:, :, None, None] * act).sum(axis=1), 0.0)
+    last = model.backward(dlogits)[-1]
+    weights = last.grad.mean(axis=(2, 3))  # (N, C)
+    cam = np.maximum((weights[:, :, None, None] * last.act).sum(axis=1), 0.0)
     cam = bilinear_upsample(cam, x.shape[2], x.shape[3])
     lo = cam.min(axis=(1, 2), keepdims=True)
     hi = cam.max(axis=(1, 2), keepdims=True)

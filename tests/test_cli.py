@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import struct
 import subprocess
@@ -546,22 +547,22 @@ class TestTrainAndCam:
         assert main(["gradcam", "--model", str(tmp_path / "nope.elak"),
                      "--out", str(tmp_path / "cam")]) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_exit_3(self, tmp_path):
-        import numpy as np
+    # one run overflows during training; the other's one update overflows
+    # only in the final evaluation
+    DIVERGING = {
+        "lr-1e9": ["--attention", "none", "--steps", "40", "--seed", "15", "--lr", "1e9"],
+        "last-step": ["--steps", "1", "--lr", "1e308"],
+    }
 
-        with np.errstate(all="ignore"):
-            code = main(["train-toy", "--attention", "none", "--steps", "40",
-                         "--seed", "15", "--lr", "1e9", "--out", str(tmp_path / "run")])
+    @pytest.mark.parametrize("args", DIVERGING.values(), ids=list(DIVERGING))
+    def test_divergence_exit_3(self, tmp_path, args):
+        code = main(["train-toy", *args, "--out", str(tmp_path / "run")])
         assert code == 3
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_prints_one_error_line(self, tmp_path, capsys):
-        import numpy as np
-
-        with np.errstate(all="ignore"):
-            main(["train-toy", "--attention", "none", "--steps", "40",
-                  "--seed", "15", "--lr", "1e9", "--out", str(tmp_path / "run")])
+    @pytest.mark.parametrize("args", DIVERGING.values(), ids=list(DIVERGING))
+    def test_divergence_prints_one_error_line(self, tmp_path, capsys, args):
+        main(["train-toy", *args, "--out", str(tmp_path / "run")])
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: training diverged:"), lines
+        assert re.search(r" (at|after) step \d+$", lines[0]), lines

@@ -172,6 +172,12 @@ class TestBatchNorm:
             np.testing.assert_array_equal(state.running_mean, np.zeros(2))
             assert not state.initialized
 
+    @pytest.mark.parametrize("name", ["running_mean", "running_var", "initialized"])
+    def test_statistics_are_not_constructor_arguments(self, name):
+        # NormState(3, running_mean=np.ones(2)) would hold a (2,) mean for 3 channels
+        with pytest.raises(TypeError):
+            K.NormState(3, **{name: np.ones(2)})
+
     def test_running_stats_update(self):
         assert K.BN_MOMENTUM == 0.1
         state = K.NormState(1)

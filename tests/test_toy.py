@@ -1,5 +1,7 @@
 """Toy dataset, mini CNN training, and Grad-CAM behavior."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,39 @@ class TestMiniCnn:
         with pytest.raises(RuntimeError):
             model.backward(np.ones((2, 4)))
 
+    @pytest.mark.parametrize("attention", ["none", "se", "ela-b"])
+    def test_each_record_carries_the_blocks_maps(self, attention):
+        cfg = MiniCnnConfig(stage_channels=(4, 6), attention=attention, input_shape=(1, 8, 8))
+        model = MiniCnn(cfg, seed=23)
+        returned = []
+
+        def recording(forward):
+            def wrapped(h, **kwargs):
+                y, maps = forward(h, **kwargs)
+                returned.append(maps)
+                return y, maps
+            return wrapped
+
+        for block in filter(None, model.attn):
+            block.forward = recording(block.forward)
+        logits = model.forward(make_toy_batch(2, seed=24, size=8).images, keep_intermediates=True)
+        records = model.backward(np.ones_like(logits))
+        expected = returned if model.cfg.attention else [None, None]
+        assert len(records) == len(expected) == 2
+        assert all(record.maps is maps for record, maps in zip(records, expected))
+
+    def test_no_gradient_outlives_the_returned_records(self):
+        # the model keeps its forward cache until the next forward, so a
+        # gradient it held would stay alive through the next training step
+        model = MiniCnn(MiniCnnConfig(stage_channels=(4, 6), attention="ela-b",
+                                      input_shape=(1, 8, 8)), seed=25)
+        batch = make_toy_batch(2, seed=26, size=8)
+        logits = model.forward(batch.images, keep_intermediates=True)
+        records = model.backward(cross_entropy(logits, batch.labels)[1])
+        grads = [weakref.ref(record.grad) for record in records]
+        del records
+        assert [ref() for ref in grads] == [None, None]
+
     def test_zero_lr_leaves_params_unchanged(self):
         model = self.tiny_model()
         before = {name: model.params.value(name).copy() for name in model.params.names()}
@@ -317,7 +352,7 @@ class TestGradCam:
 
     @pytest.mark.parametrize("attention", ["ca", "ela-b"])
     def test_stage_gradients_match_finite_differences(self, attention, monkeypatch):
-        # backward's (act, grad) pairs are what Grad-CAM weighs: act must be
+        # each record's act and grad are what Grad-CAM weighs: act must be
         # the map relu receives, grad the class score's gradient at it
         cfg = MiniCnnConfig(stage_channels=(4, 6), attention=attention, input_shape=(1, 8, 8))
         model = MiniCnn(cfg, seed=21)
@@ -330,7 +365,7 @@ class TestGradCam:
         dlogits = np.zeros_like(logits)
         dlogits[np.arange(len(labels)), labels] = 1.0
         model.zero_grads()
-        pairs = model.backward(dlogits)
+        records = model.backward(dlogits)
 
         def score_with(stage, index, delta):
             calls = iter(range(len(cfg.stage_channels)))
@@ -345,7 +380,8 @@ class TestGradCam:
             return model.forward(x)[np.arange(len(labels)), labels].sum()
 
         step = 1e-6
-        for stage, (act, grad) in enumerate(pairs):
+        for stage, record in enumerate(records):
+            act = record.act
             assert np.array_equal(act, relu_inputs[stage])
             # a difference that straddles relu's kink measures neither side
             smooth = np.abs(act) > step
@@ -354,7 +390,7 @@ class TestGradCam:
             for index in zip(*np.nonzero(smooth)):
                 up, down = score_with(stage, index, step), score_with(stage, index, -step)
                 numeric[index] = (up - down) / (2.0 * step)
-            assert max_rel_error(grad[smooth], numeric[smooth]) < 1e-6
+            assert max_rel_error(record.grad[smooth], numeric[smooth]) < 1e-6
 
     def test_pgm_output(self):
         heat = np.linspace(0, 1, 32 * 32).reshape(32, 32)
