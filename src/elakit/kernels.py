@@ -199,7 +199,7 @@ BN_EPS = 1e-5
 GN_EPS = 1e-5  # group norm's variance epsilon
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: its arrays have no single truth value
 class NormState:
     """Running statistics and mode for batch normalization."""
 

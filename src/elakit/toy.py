@@ -87,7 +87,7 @@ class MiniCnnConfig:
             self.attention = None if kind == "none" else kind
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: its arrays have no single truth value
 class Stage:
     """One MiniCnn stage: the conv input, the post-attention, pre-relu map
     that Grad-CAM weighs, and the block's `AttentionMaps`/`ChannelGate` (None

@@ -1,5 +1,6 @@
 """CLI contracts: exit codes, artifact formats, determinism."""
 
+import functools
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 from elakit import kernels
 from elakit.cli import main
 from elakit.modules import MODULE_CHOICES
+from elakit.toy import MiniCnn, MiniCnnConfig
 
 BUNDLED_ELA = str(resources.files("elakit") / "data" / "resnet18-ela-b.json")
 
@@ -44,24 +46,6 @@ class TestAudit:
         assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[-2] == "TOTAL,se,0,0"
-
-    def test_malformed_json_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text("{not json")
-        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
-        assert "line" in capsys.readouterr().err
-
-    def test_missing_config_exits_2(self, tmp_path):
-        assert main(["audit", "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "r.csv")]) == 2
-
-    def test_invalid_placement_exits_2(self, tmp_path):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({
-            "module": "ela-s",
-            "sites": [{"name": "a", "channels": 10, "height": 4, "width": 4}],
-        }))
-        assert main(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
 
     def test_published_total_below_baseline_gives_strict_json(self, tmp_path):
         cfg = tmp_path / "shrunk.json"
@@ -126,40 +110,6 @@ PLACEMENT_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("placement", PLACEMENT_DEFECTS.values(), ids=PLACEMENT_DEFECTS)
-def test_malformed_placement_exits_2_with_one_line(tmp_path, placement):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(placement))
-    result = run_cli(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
-    assert result.returncode == 2
-    lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
-    assert str(cfg) in lines[0]
-    assert not (tmp_path / "r.csv").exists()
-
-
-def test_overflowing_delta_names_both_figures(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(PLACEMENT_DEFECTS["delta-overflows"]))
-    result = run_cli(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
-                      "--json-out", str(tmp_path / "r.json")])
-    assert result.returncode == 2
-    assert "'published_total_params_m'" in result.stderr
-    assert "'baseline_params_m'" in result.stderr
-    assert not any(p.name.startswith("r.") for p in tmp_path.iterdir())
-
-
-def test_site_rejected_by_module_names_the_file_and_the_site(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(PLACEMENT_DEFECTS["site-rejected-by-module"]))
-    result = run_cli(["audit", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
-    assert result.returncode == 2
-    lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1, result.stderr
-    assert lines[0].startswith(f"error: {cfg}: site 'layer2.0': ")
-    assert "C=10" in lines[0]
-
-
 def _replace_header(blob, raw):
     """The model file `blob` with its JSON header bytes replaced by `raw`."""
     n = int.from_bytes(blob[8:16], "little")
@@ -222,31 +172,12 @@ MODEL_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("defect", MODEL_DEFECTS.values(), ids=MODEL_DEFECTS)
-def test_malformed_model_exits_2_with_one_line_naming_it(tmp_path, defect):
-    from elakit.toy import MiniCnn, MiniCnnConfig
-
-    good = tmp_path / "good.elak"
-    cfg = MiniCnnConfig(stage_channels=(4,), attention="ela-b", input_shape=(1, 8, 8))
-    MiniCnn(cfg).params.save(good)
-    bad = tmp_path / "bad.elak"
-    bad.write_bytes(defect(good.read_bytes()))
-    result = run_cli(["gradcam", "--model", str(bad), "--out", str(tmp_path / "cam")])
-    assert result.returncode == 2
-    lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
-    assert str(bad) in lines[0]
-    assert not (tmp_path / "cam").exists()
-
-
 def _made_dir(path):
     path.mkdir()
     return path
 
 
 def _small_model(d):
-    from elakit.toy import MiniCnn, MiniCnnConfig
-
     path = d / "small.elak"
     MiniCnn(MiniCnnConfig(stage_channels=(4,), input_shape=(1, 8, 8))).params.save(path)
     return path
@@ -254,8 +185,12 @@ def _small_model(d):
 
 # each case maps tmp_path, where `dir` exists, to (argv, the path the error names)
 OS_ERROR_CASES = {
+    "gradcam-missing-model": lambda d: (
+        ["gradcam", "--model", d / "nope.elak", "--out", d / "cam"], d / "nope.elak"),
     "gradcam-model-is-a-directory": lambda d: (
         ["gradcam", "--model", d / "dir", "--out", d / "cam"], d / "dir"),
+    "audit-missing-config": lambda d: (
+        ["audit", "--config", d / "nope.json", "--out", d / "r.csv"], d / "nope.json"),
     "audit-config-is-a-directory": lambda d: (
         ["audit", "--config", d / "dir", "--out", d / "r.csv"], d / "dir"),
     "audit-out-in-missing-directory": lambda d: (
@@ -281,20 +216,6 @@ OS_ERROR_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", OS_ERROR_CASES.values(), ids=OS_ERROR_CASES)
-def test_os_error_exits_2_with_one_line_naming_the_path(tmp_path, case):
-    (tmp_path / "dir").mkdir()
-    argv, named = case(tmp_path)
-    before = sorted(tmp_path.rglob("*"))
-    result = run_cli(argv)
-    assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
-    assert str(named) in lines[0]
-    assert sorted(tmp_path.rglob("*")) == before
-
-
 def _placement_with_channels(d, channels):
     path = d / "huge.json"
     site = {"name": "a", "channels": channels, "height": 1, "width": 1}
@@ -304,43 +225,173 @@ def _placement_with_channels(d, channels):
 
 # 10**14 channels: the first array alone is 4.9 PiB, beyond any address space,
 # so the allocation fails at once; 2**63 is past any size numpy can represent.
-# Each case gives (argv, start of the error line).
+# Each case is a row of REFUSALS.
 BEYOND_MEMORY = {
     "audit-site-channels": lambda d: (
         ["audit", "--config", _placement_with_channels(d, 10**14), "--out", d / "r.csv"],
-        f"error: {d / 'huge.json'}: site 'a': "),
+        2, f"error: {d / 'huge.json'}: site 'a': "),
     "audit-site-channels-unrepresentable": lambda d: (
         ["audit", "--config", _placement_with_channels(d, 2**63), "--out", d / "r.csv"],
-        f"error: {d / 'huge.json'}: site 'a': "),
+        2, f"error: {d / 'huge.json'}: site 'a': "),
     "gradcheck-shape": lambda d: (
-        ["gradcheck", "--module", "ela-b", "--shape", f"1,{10**14},1,1"], "error:"),
+        ["gradcheck", "--module", "ela-b", "--shape", f"1,{10**14},1,1"], 2, "error: "),
 }
 
 
-@pytest.mark.parametrize("case", BEYOND_MEMORY.values(), ids=BEYOND_MEMORY)
-def test_size_beyond_memory_exits_2_with_one_line(tmp_path, case):
-    argv, start = case(tmp_path)
-    before = sorted(tmp_path.rglob("*"))
-    result = run_cli(argv)
-    assert result.returncode == 2
-    lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith(start), result.stderr
-    assert sorted(tmp_path.rglob("*")) == before
+def _audit(d, placement, *options):
+    """audit's argv for `placement`, written to bad.json as JSON unless it is text."""
+    cfg = d / "bad.json"
+    cfg.write_text(placement if isinstance(placement, str) else json.dumps(placement))
+    return ["audit", "--config", cfg, "--out", d / "r.csv", *options]
 
 
-@pytest.mark.parametrize("alias", ["same-string", "through-a-symlink"])
-def test_audit_out_and_json_out_naming_one_file_exit_2(tmp_path, alias):
-    out = tmp_path / "r.csv"
-    json_out = out
-    if alias == "through-a-symlink":
-        (tmp_path / "link").symlink_to(tmp_path)
-        json_out = tmp_path / "link" / "r.csv"
-    result = run_cli(["audit", "--config", BUNDLED_ELA, "--out", out, "--json-out", json_out])
-    assert result.returncode == 2
-    lines = result.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
-    assert "--out" in lines[0] and "--json-out" in lines[0]
-    assert not out.exists()
+def _model_row(defect, d):
+    bad = d / "bad.elak"
+    cfg = MiniCnnConfig(stage_channels=(4,), attention="ela-b", input_shape=(1, 8, 8))
+    bad.write_bytes(defect(MiniCnn(cfg).params.to_bytes()))
+    return ["gradcam", "--model", bad, "--out", d / "cam"], 2, f"error: {bad}: "
+
+
+def _os_error_row(case, d):
+    argv, named = case(_made_dir(d / "dir").parent)
+    return argv, 2, f"error: {named}: "
+
+
+def _rows(prefix, cases, row):
+    return {f"{prefix}-{name}": functools.partial(row, case) for name, case in cases.items()}
+
+
+def _linked(d):
+    (d / "link").symlink_to(d)
+    return d / "link"
+
+
+def _gradcam(d, *options):
+    return ["gradcam", "--model", _small_model(d), *options, "--out", d / "cam"]
+
+
+def _heatmaps(cam):  # an earlier run's three heatmaps
+    cam.mkdir()
+    for i in range(3):
+        (cam / f"heatmap_{i:03d}.pgm").write_bytes(bytes([i]))
+    return cam
+
+
+BAD_TRAIN_OPTIONS = {  # each with the start of its error line
+    "negative-steps": (["--attention", "none", "--steps", "-1"], "error: --steps must be >= 0"),
+    "bogus-attention": (["--attention", "bogus"], "error: unknown attention module 'bogus'"),
+    "lr-nan": (["--attention", "none", "--lr=nan"], "error: --lr must be finite, got nan"),
+    "lr-inf": (["--attention", "none", "--lr=inf"], "error: --lr must be finite, got inf"),
+    "lr-minus-inf": (["--attention", "none", "--lr=-inf"], "error: --lr must be finite, got -inf"),
+}
+
+# Each row maps tmp_path to (argv, exit code, the start of the one error line,
+# then any patterns that re.search must find in the line).
+REFUSALS = {
+    **_rows("placement", PLACEMENT_DEFECTS, lambda placement, d: (
+        _audit(d, placement), 2, f"error: {d / 'bad.json'}: ")),
+    "placement-delta-overflows-names-both-figures": lambda d: (
+        _audit(d, PLACEMENT_DEFECTS["delta-overflows"], "--json-out", d / "r.json"), 2,
+        f"error: {d / 'bad.json'}: ", "'published_total_params_m'", "'baseline_params_m'"),
+    "placement-site-rejected-by-module-names-the-site": lambda d: (
+        _audit(d, PLACEMENT_DEFECTS["site-rejected-by-module"]), 2,
+        f"error: {d / 'bad.json'}: site 'layer2.0': ", "C=10"),
+    "audit-config-not-json": lambda d: (
+        _audit(d, "{not json"), 2, f"error: {d / 'bad.json'}: line 1: "),
+    # --json-out naming --out's file, by the same string or through a symlink
+    "audit-json-out-is-out": lambda d: (
+        ["audit", "--config", BUNDLED_ELA, "--out", d / "r.csv", "--json-out", d / "r.csv"], 2,
+        "error: --out and --json-out name the same file: "),
+    "audit-json-out-is-out-through-a-symlink": lambda d: (
+        ["audit", "--config", BUNDLED_ELA, "--out", d / "r.csv",
+         "--json-out", _linked(d) / "r.csv"], 2,
+        "error: --out and --json-out name the same file: "),
+    **_rows("model", MODEL_DEFECTS, _model_row),
+    **_rows("os-error", OS_ERROR_CASES, _os_error_row),
+    **{f"beyond-memory-{name}": case for name, case in BEYOND_MEMORY.items()},
+    # ela-s needs C divisible by 8; both commands refuse before they compute
+    "gradcheck-channels-not-divisible": lambda d: (
+        ["gradcheck", "--module", "ela-s", "--shape", "1,10,3,3"], 2, "error: ", "divisible"),
+    "bench-channels-not-divisible": lambda d: (
+        ["bench", "--module", "ela-s", "--shape", "1,12,5,5", "--out", d / "b.csv"], 2,
+        "error: ", "divisible"),
+    "bench-reps-below-10": lambda d: (
+        ["bench", "--module", "se", "--reps", "5", "--out", d / "b.csv"], 2,
+        "error: --reps must be >= 10"),
+    **_rows("train-toy", BAD_TRAIN_OPTIONS, lambda case, d: (
+        ["train-toy", *case[0], "--out", d / "run"], 2, case[1])),
+    # one run overflows during training; the other's one update overflows
+    # only in the final evaluation
+    "train-toy-diverges": lambda d: (
+        ["train-toy", "--attention", "none", "--steps", "40", "--seed", "15", "--lr", "1e9",
+         "--out", d / "run"], 3, "error: training diverged: ", r" at step \d+$"),
+    "train-toy-diverges-after-the-last-step": lambda d: (
+        ["train-toy", "--steps", "1", "--lr", "1e308", "--out", d / "run"], 3,
+        "error: training diverged: ", " after step 0$"),
+    **{f"gradcam-samples-{n}": lambda d, n=n: (
+        _gradcam(d, "--samples", n), 2, "error: --samples must be >= 1") for n in ("0", "-2")},
+    # a second run with fewer samples would leave the first run's later heatmaps
+    "gradcam-out-holds-heatmaps": lambda d: (
+        _gradcam(d, "--samples", "1", "--seed", "9"), 2,
+        f"error: {_heatmaps(d / 'cam')} already holds heatmaps"),
+}
+
+
+def _tree(root):  # every path under root, with the bytes of each file
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", REFUSALS.values(), ids=REFUSALS)
+def test_refusal_prints_one_error_line_and_writes_nothing(tmp_path, capfd, case):
+    argv, code, start, *patterns = case(tmp_path)
+    before = _tree(tmp_path)
+    assert main([str(a) for a in argv]) == code
+    lines = capfd.readouterr().err.splitlines()
+    assert len(lines) == 1 and start.startswith("error: ") and lines[0].startswith(start), lines
+    assert all(re.search(pattern, lines[0]) for pattern in patterns), (patterns, lines)
+    assert _tree(tmp_path) == before
+
+
+# argparse's own refusals, each with its message: argparse prints its usage
+# text, then one `error:` line; the test runs in tmp_path, so outputs land there
+USAGE_ERRORS = {
+    # options that no caller passed
+    "gradcheck-tol": (["gradcheck", "--module", "se", "--tol", "1"],
+                      "unrecognized arguments: --tol 1"),
+    "bench-seed": (["bench", "--module", "se", "--seed", "1", "--out", "b.csv"],
+                   "unrecognized arguments: --seed 1"),
+    "train-toy-batch-size": (["train-toy", "--batch-size", "8", "--out", "run"],
+                             "unrecognized arguments: --batch-size 8"),
+    "unknown-module": (["gradcheck", "--module", "bogus"],
+                       "argument --module: invalid choice: 'bogus'"),
+    **{f"shape-{name}": (["gradcheck", "--module", "se", "--shape", shape],
+                         "argument --shape: shape must be N,C,H,W with integers >= 1")
+       for name, shape in [("three-axes", "1,2,3"), ("zero-axis", "0,16,5,7"),
+                           ("signed-axis", "+1,16,5,7"), ("non-integer-axis", "1,16,5,x")]},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_exits_2_after_the_usage_text(tmp_path, monkeypatch, capfd, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    lines = capfd.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: elakit ") and f": error: {message}" in lines[-1], lines
+    assert [line for line in lines if "error:" in line] == lines[-1:], lines
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_module_runs_as_a_program(tmp_path):
+    done = run_cli(["audit", "--config", BUNDLED_ELA, "--out", tmp_path / "r.csv"])
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    refused = run_cli(["gradcheck", "--module", "ela-s", "--shape", "1,10,3,3"])
+    assert refused.returncode == 2
+    lines = refused.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "divisible" in lines[0], lines
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
@@ -364,19 +415,6 @@ def test_outputs_take_their_mode_from_the_umask(tmp_path, umask, mode):
     assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {mode}
 
 
-# options that no caller passed; argparse rejects each as a usage error
-@pytest.mark.parametrize("option, argv", [
-    ("--tol", lambda d: ["gradcheck", "--module", "se", "--tol", "1"]),
-    ("--seed", lambda d: ["bench", "--module", "se", "--seed", "1", "--out", d / "b.csv"]),
-    ("--batch-size", lambda d: ["train-toy", "--batch-size", "8", "--out", d / "run"]),
-], ids=["gradcheck-tol", "bench-seed", "train-toy-batch-size"])
-def test_removed_options_are_usage_errors(tmp_path, option, argv):
-    result = run_cli(argv(tmp_path))
-    assert result.returncode == 2
-    assert f"error: unrecognized arguments: {option} " in result.stderr
-    assert not any(tmp_path.iterdir())
-
-
 class TestGradcheck:
     @pytest.mark.parametrize("kind", MODULE_CHOICES)
     def test_passes_for_each_kind(self, capsys, kind):
@@ -391,16 +429,6 @@ class TestGradcheck:
         code = main(["gradcheck", "--module", "se", "--shape", "1,8,3,3", "--seed", "1"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
-
-    def test_precondition_error_before_compute(self, capsys):
-        # ela-s needs C divisible by 8
-        code = main(["gradcheck", "--module", "ela-s", "--shape", "1,10,3,3"])
-        assert code == 2
-        assert "divisible" in capsys.readouterr().err
-
-    def test_unknown_module_usage_error(self):
-        result = run_cli(["gradcheck", "--module", "bogus"])
-        assert result.returncode == 2
 
     def test_module_name_ignores_case(self, capsys):
         # the same names build_attention accepts through modules.lookup
@@ -420,19 +448,6 @@ class TestBench:
         assert len(lines) == 3
         assert lines[1].startswith("se,forward,10,")
         assert lines[2].startswith("se,backward,10,")
-
-    def test_reps_floor(self, tmp_path):
-        assert main(["bench", "--module", "se", "--reps", "5",
-                     "--out", str(tmp_path / "b.csv")]) == 2
-
-    def test_bad_config_exits_2_with_one_line(self, tmp_path):
-        # ela-s needs C divisible by 8
-        result = run_cli(["bench", "--module", "ela-s", "--shape", "1,12,5,5",
-                          "--out", str(tmp_path / "b.csv")])
-        assert result.returncode == 2
-        lines = result.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
-        assert not (tmp_path / "b.csv").exists()
 
     def test_module_name_ignores_case(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -478,43 +493,13 @@ class TestTrainAndCam:
 
     @pytest.mark.parametrize("attention", ["NONE", "Ela-B"])
     def test_attention_name_ignores_case(self, tmp_path, attention):
-        from elakit.toy import MiniCnn
-
         out = tmp_path / "run"
         assert main(["train-toy", "--attention", attention, "--steps", "1",
                      "--out", str(out)]) == 0
         meta = MiniCnn.load(out / "model.elak").params.meta
         assert meta["attention"] == (None if attention == "NONE" else "ela-b")
 
-    @pytest.mark.parametrize("attention, steps, lr", [
-        ("none", "-1", "0.05"), ("bogus", "1", "0.05"),
-        ("none", "1", "nan"), ("none", "1", "inf"), ("none", "1", "-inf"),
-    ], ids=["negative-steps", "bogus-attention", "lr-nan", "lr-inf", "lr-minus-inf"])
-    def test_negative_steps_exit_2_with_one_line(self, tmp_path, attention, steps, lr):
-        out = tmp_path / "run"
-        result = run_cli(["train-toy", "--attention", attention, "--steps", steps,
-                          f"--lr={lr}", "--out", str(out)])
-        assert result.returncode == 2
-        lines = result.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
-        assert not out.exists()
-
-    @pytest.mark.parametrize("samples", ["0", "-2"])
-    def test_gradcam_samples_below_one_exit_2_with_one_line(self, tmp_path, samples):
-        run = tmp_path / "run"
-        assert main(["train-toy", "--attention", "none", "--steps", "0",
-                     "--seed", "1", "--out", str(run)]) == 0
-        cam = tmp_path / "cam"
-        result = run_cli(["gradcam", "--model", str(run / "model.elak"),
-                          "--samples", samples, "--out", str(cam)])
-        assert result.returncode == 2
-        lines = result.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
-        assert not cam.exists()
-
     def test_gradcam_uses_the_models_input_size(self, tmp_path):
-        from elakit.toy import MiniCnn, MiniCnnConfig
-
         model = tmp_path / "small.elak"
         cfg = MiniCnnConfig(stage_channels=(4,), attention="ela-b", input_shape=(1, 8, 8))
         MiniCnn(cfg, seed=1).params.save(model)
@@ -527,42 +512,3 @@ class TestTrainAndCam:
             blob = p.read_bytes()
             assert blob.startswith(b"P5\n8 8\n255\n")
             assert len(blob.split(b"255\n", 1)[1]) == 8 * 8
-
-    def test_gradcam_refuses_an_out_that_holds_heatmaps(self, tmp_path, capsys):
-        # a second run with fewer samples would leave the first run's later heatmaps
-        run, cam = tmp_path / "run", tmp_path / "cam"
-        assert main(["train-toy", "--attention", "none", "--steps", "0",
-                     "--seed", "1", "--out", str(run)]) == 0
-        assert main(["gradcam", "--model", str(run / "model.elak"), "--samples", "3",
-                     "--out", str(cam)]) == 0
-        before = {p.name: p.read_bytes() for p in cam.iterdir()}
-        capsys.readouterr()
-        assert main(["gradcam", "--model", str(run / "model.elak"), "--samples", "1",
-                     "--seed", "9", "--out", str(cam)]) == 2
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:") and str(cam) in lines[0]
-        assert {p.name: p.read_bytes() for p in cam.iterdir()} == before
-
-    def test_gradcam_missing_model_exits_2(self, tmp_path):
-        assert main(["gradcam", "--model", str(tmp_path / "nope.elak"),
-                     "--out", str(tmp_path / "cam")]) == 2
-
-    # one run overflows during training; the other's one update overflows
-    # only in the final evaluation
-    DIVERGING = {
-        "lr-1e9": ["--attention", "none", "--steps", "40", "--seed", "15", "--lr", "1e9"],
-        "last-step": ["--steps", "1", "--lr", "1e308"],
-    }
-
-    @pytest.mark.parametrize("args", DIVERGING.values(), ids=list(DIVERGING))
-    def test_divergence_exit_3(self, tmp_path, args):
-        code = main(["train-toy", *args, "--out", str(tmp_path / "run")])
-        assert code == 3
-        assert not (tmp_path / "run").exists()
-
-    @pytest.mark.parametrize("args", DIVERGING.values(), ids=list(DIVERGING))
-    def test_divergence_prints_one_error_line(self, tmp_path, capsys, args):
-        main(["train-toy", *args, "--out", str(tmp_path / "run")])
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: training diverged:"), lines
-        assert re.search(r" (at|after) step \d+$", lines[0]), lines

@@ -66,7 +66,7 @@ def _mutate_placement(rng, text):
 
 
 @pytest.mark.parametrize("kind", ["model", "placement"])
-def test_mutated_files_exit_0_or_2_with_one_error_line(tmp_path, capsys, kind):
+def test_mutated_files_exit_0_or_2_with_one_error_line(tmp_path, capfd, kind):
     rng = np.random.default_rng(0 if kind == "model" else 1)
     if kind == "model":
         cfg = MiniCnnConfig(stage_channels=(4,), attention="ca", input_shape=(1, 8, 8))
@@ -85,7 +85,7 @@ def test_mutated_files_exit_0_or_2_with_one_error_line(tmp_path, capsys, kind):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(argv)
-        err = capsys.readouterr().err.splitlines()
+        err = capfd.readouterr().err.splitlines()
         assert code in (0, 2)
         if code == 2:
             assert len(err) == 1 and err[0].startswith("error:"), err

@@ -12,6 +12,7 @@ from elakit.toy import (
     DivergenceError,
     MiniCnn,
     MiniCnnConfig,
+    Stage,
     TrainState,
     bilinear_upsample,
     cross_entropy,
@@ -247,10 +248,18 @@ class TestMiniCnn:
         assert ParamStore.load(tmp_path / "model.elak").meta["attention"] == "ela-b"
         assert MiniCnn.load(tmp_path / "model.elak").cfg.attention == "ela-b"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_guard(self):
-        with pytest.raises(DivergenceError), np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError):
             train_toy("none", 40, seed=15, lr=1e9)
+
+    @pytest.mark.parametrize("record", [
+        lambda: K.NormState(2), lambda: Stage(np.zeros(2), np.ones(2), None),
+    ], ids=["NormState", "Stage"])
+    def test_records_holding_arrays_compare_by_identity(self, record):
+        # a generated __eq__ compares the arrays as a tuple, which raises
+        first, second = record(), record()
+        assert first != second and first not in [second]
+        assert first == first and first in [first]
 
     def test_sgd_step_moves_the_attention_blocks_params(self):
         # the model store holds the blocks' own entries, not copies
